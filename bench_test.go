@@ -35,6 +35,7 @@ import (
 	"rewire/internal/route"
 	"rewire/internal/sa"
 	"rewire/internal/stats"
+	"rewire/internal/sweep"
 )
 
 const benchBudget = 300 * time.Millisecond
@@ -155,8 +156,8 @@ func BenchmarkTable1(b *testing.B) {
 			pfIters, saIters := 0, 0
 			for _, k := range set {
 				g := kernels.MustLoad(k)
-				_, pr := pathfinder.Map(g, a, pathfinder.Options{Seed: 1, TimePerII: benchBudget})
-				_, sr := sa.Map(g, a, sa.Options{Seed: 1, TimePerII: benchBudget})
+				_, pr := pathfinder.Map(g, a, pathfinder.Options{RunOptions: sweep.RunOptions{Seed: 1, TimePerII: benchBudget}})
+				_, sr := sa.Map(g, a, sa.Options{RunOptions: sweep.RunOptions{Seed: 1, TimePerII: benchBudget}})
 				pfIters += pr.RemapIterations
 				saIters += sr.RemapIterations
 			}
@@ -360,7 +361,7 @@ func BenchmarkSubValidate(b *testing.B) {
 	b.ReportAllocs()
 	g := kernels.MustLoad("mvt")
 	a := arch.New4x4(4)
-	m, res := pathfinder.Map(g, a, pathfinder.Options{Seed: 1, TimePerII: 2 * time.Second})
+	m, res := pathfinder.Map(g, a, pathfinder.Options{RunOptions: sweep.RunOptions{Seed: 1, TimePerII: 2 * time.Second}})
 	if m == nil {
 		b.Fatalf("setup mapping failed: %v", res)
 	}

@@ -582,16 +582,15 @@ func (s *server) buildOpts(req *mapRequest, mapper rewire.MapperName, lg *obs.Lo
 	}
 	if mapper == rewire.MapperPortfolio {
 		opts.PortfolioBackends = portfolio.ParseBackends(req.PortfolioBackends)
-		// A zero width races one lane per backend; resolve it here so the
-		// same oversubscription clamp as the sweep window applies. The
-		// committed result is width-independent, so clamping only affects
-		// wall-clock.
+		// A zero width races one lane per resolved backend ("pf,pathfinder"
+		// is one); resolve it here so the same oversubscription clamp as
+		// the sweep window applies. The committed result is
+		// width-independent, so clamping only affects wall-clock. The
+		// subset was validated with the request.
 		want := req.PortfolioParallelism
 		if want == 0 {
-			want = len(opts.PortfolioBackends)
-			if want == 0 {
-				want = len(portfolio.Order())
-			}
+			bs, _ := portfolio.Backends(opts.PortfolioBackends)
+			want = len(bs)
 		}
 		opts.PortfolioParallelism = s.clampSweep(want)
 	}

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"rewire"
 	"rewire/internal/ledger"
 	"rewire/internal/obs"
 )
@@ -681,6 +682,17 @@ func TestSweepParallelismClamp(t *testing.T) {
 	if _, code := postMap(t, testServer(t, serverConfig{}),
 		`{"kernel":"mvt","arch":"4x4r4","sweep_parallelism":-1}`); code != http.StatusBadRequest {
 		t.Fatalf("negative sweep_parallelism = %d, want 400", code)
+	}
+
+	// A zero portfolio width races one lane per resolved backend:
+	// "pf,pathfinder" names one backend twice, so it asks for one lane.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	s3 := newServer(serverConfig{Workers: 1}, lg)
+	for backends, want := range map[string]int{"pf,pathfinder": 1, "sa,rewire": 2, "": 3} {
+		req := &mapRequest{Kernel: "mvt", Arch: "4x4r4", PortfolioBackends: backends}
+		if got := s3.buildOpts(req, rewire.MapperPortfolio, lg, nil).PortfolioParallelism; got != want {
+			t.Errorf("portfolio_backends %q: default lane window %d, want %d", backends, got, want)
+		}
 	}
 }
 

@@ -12,12 +12,13 @@ import (
 	"rewire/internal/mapping"
 	"rewire/internal/pathfinder"
 	"rewire/internal/sim"
+	"rewire/internal/sweep"
 )
 
 func sample(t *testing.T) *mapping.Mapping {
 	t.Helper()
 	g := kernels.MustLoad("mvt")
-	m, res := pathfinder.Map(g, arch.New4x4(4), pathfinder.Options{Seed: 1, TimePerII: 3 * time.Second, CandidateBeam: 8})
+	m, res := pathfinder.Map(g, arch.New4x4(4), pathfinder.Options{RunOptions: sweep.RunOptions{Seed: 1, TimePerII: 3 * time.Second}, CandidateBeam: 8})
 	if m == nil {
 		t.Fatalf("mapping failed: %v", res)
 	}

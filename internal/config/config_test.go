@@ -11,6 +11,7 @@ import (
 	"rewire/internal/mapping"
 	"rewire/internal/mrrg"
 	"rewire/internal/pathfinder"
+	"rewire/internal/sweep"
 )
 
 // handMapping builds a small mapping by hand: ld(PE0@0) -> add(PE1@2)
@@ -120,7 +121,7 @@ func TestDisassembleMentionsEverything(t *testing.T) {
 
 func TestGenerateFromRealMapper(t *testing.T) {
 	g := kernels.MustLoad("mvt")
-	m, res := pathfinder.Map(g, arch.New4x4(4), pathfinder.Options{Seed: 1, TimePerII: 3 * time.Second})
+	m, res := pathfinder.Map(g, arch.New4x4(4), pathfinder.Options{RunOptions: sweep.RunOptions{Seed: 1, TimePerII: 3 * time.Second}})
 	if m == nil {
 		t.Fatalf("mapping failed: %v", res)
 	}

@@ -62,7 +62,7 @@ func Amend(m *mapping.Mapping, opt Options) (*mapping.Mapping, stats.Result, err
 		committedII = m.II
 	}
 	opt.Diag.Commit(ok, committedII)
-	opt.Progress.Publish(diag.Event{Type: "run_end", II: committedII, Outcome: outcomeWord(ok, false)})
+	opt.Progress.Publish(diag.Event{Type: "run_end", II: committedII, Outcome: diag.Outcome(ok, false)})
 	// Count router work on failure too (the audit contract: effort
 	// counters are filled on every path, not only successes).
 	res.RouterExpansions = am.router.Expansions

@@ -9,6 +9,7 @@ import (
 	"rewire/internal/mapping"
 	"rewire/internal/pathfinder"
 	"rewire/internal/stats"
+	"rewire/internal/sweep"
 )
 
 func TestAmendRepairsForeignInitialMapping(t *testing.T) {
@@ -27,7 +28,7 @@ func TestAmendRepairsForeignInitialMapping(t *testing.T) {
 	// is seed-sensitive, so the failure budget is raised well above the
 	// production default: the test asserts Amend's repair capability, not
 	// the luck of one draw.
-	repaired, res, err := Amend(initial, Options{Seed: 1, TimePerII: time.Hour, ClusterFailBudget: 24})
+	repaired, res, err := Amend(initial, Options{RunOptions: sweep.RunOptions{Seed: 1, TimePerII: time.Hour}, ClusterFailBudget: 24})
 	if err != nil {
 		t.Fatalf("amend failed: %v", err)
 	}
@@ -62,7 +63,7 @@ func TestAmendRejectsCorruptMapping(t *testing.T) {
 	// Two nodes on the same FU slot: Restore must fail.
 	m.Place[0] = mapping.Placement{PE: 0, Time: 0}
 	m.Place[1] = mapping.Placement{PE: 0, Time: 3}
-	if _, _, err := Amend(m, Options{Seed: 1, TimePerII: time.Second}); err == nil {
+	if _, _, err := Amend(m, Options{RunOptions: sweep.RunOptions{Seed: 1, TimePerII: time.Second}}); err == nil {
 		t.Fatal("expected inconsistency error")
 	}
 }
@@ -70,11 +71,11 @@ func TestAmendRejectsCorruptMapping(t *testing.T) {
 func TestAmendAlreadyValidMappingIsNoOp(t *testing.T) {
 	g := kernels.MustLoad("gesummv")
 	a := arch.New4x4(4)
-	m, res := pathfinder.Map(g, a, pathfinder.Options{Seed: 1, TimePerII: 2 * time.Second})
+	m, res := pathfinder.Map(g, a, pathfinder.Options{RunOptions: sweep.RunOptions{Seed: 1, TimePerII: 2 * time.Second}})
 	if m == nil {
 		t.Skipf("setup failed: %v", res)
 	}
-	repaired, ares, err := Amend(m, Options{Seed: 1, TimePerII: time.Second})
+	repaired, ares, err := Amend(m, Options{RunOptions: sweep.RunOptions{Seed: 1, TimePerII: time.Second}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,6 @@ import (
 	"rewire/internal/dfg"
 	"rewire/internal/diag"
 	"rewire/internal/mapping"
-	"rewire/internal/obs"
 	"rewire/internal/pathfinder"
 	"rewire/internal/route"
 	"rewire/internal/stats"
@@ -40,12 +39,7 @@ import (
 // Options tunes Rewire. Zero values select the defaults (the paper's
 // published constants).
 type Options struct {
-	// Seed drives randomized cluster seeding; runs are reproducible.
-	Seed int64
-	// MaxII caps the explored initiation intervals (default 32).
-	MaxII int
-	// TimePerII bounds the wall-clock per II (default 10s).
-	TimePerII time.Duration
+	sweep.RunOptions
 	// ClusterCap is the maximum cluster size (default 15, §IV-B).
 	ClusterCap int
 	// InitialClusterSize is how many connected ill nodes seed a cluster
@@ -89,44 +83,10 @@ type Options struct {
 	// either way; the switch exists for the determinism test and for
 	// single-core profiling.
 	SerialPropagation bool
-
-	// SweepParallelism is the speculative II-sweep window: how many II
-	// attempts may run concurrently (see internal/sweep and
-	// docs/CONCURRENCY.md). 0 or 1 is the serial sweep. Every per-II
-	// attempt derives its randomness from sweep.SeedForII(Seed, II), so
-	// the committed (II, mapping) is bit-identical at every width.
-	SweepParallelism int
-
-	// Tracer receives phase spans and work counters for the run (see
-	// internal/trace and docs/OBSERVABILITY.md). nil disables tracing at
-	// ~zero hot-path cost.
-	Tracer *trace.Tracer
-	// Logger receives run- and II-level structured log records (never
-	// per-placement or per-tuple events). nil disables logging at one
-	// pointer check per site, like the tracer.
-	Logger *obs.Logger
-	// Diag accumulates the post-mortem: the amendment-round convergence
-	// series, contested-resource attribution on failed attempts, the
-	// unroutable-edge list. nil disables collection at one pointer check
-	// per site.
-	Diag *diag.Collector
-	// Progress receives coarse progress events (run, II-attempt and
-	// amendment-round boundaries) for live streaming. nil disables
-	// publishing at one pointer check per site.
-	Progress *diag.Bus
-	// Lane tags this run's diag attempts and progress events with a
-	// portfolio lane label (see internal/portfolio); empty outside
-	// portfolio runs.
-	Lane string
 }
 
 func (o Options) withDefaults() Options {
-	if o.MaxII == 0 {
-		o.MaxII = 32
-	}
-	if o.TimePerII == 0 {
-		o.TimePerII = 10 * time.Second
-	}
+	o.RunOptions = o.RunOptions.WithDefaults()
 	if o.ClusterCap == 0 {
 		o.ClusterCap = 15
 	}
@@ -160,98 +120,38 @@ func Map(g *dfg.Graph, a *arch.CGRA, opt Options) (*mapping.Mapping, stats.Resul
 	return MapCtx(context.Background(), g, a, opt)
 }
 
-// iiOut is one II attempt's outcome: the mapping (nil on failure) and
-// the attempt's private effort counters, merged into the run's
-// stats.Result in ascending II order once the sweep commits.
-type iiOut struct {
-	m  *mapping.Mapping
-	st stats.Result
-}
-
-// mergeEffort folds one II attempt's effort counters into the run total.
-func mergeEffort(dst *stats.Result, src *stats.Result) {
-	dst.ClusterAmendments += src.ClusterAmendments
-	dst.PlacementsTried += src.PlacementsTried
-	dst.VerifyAttempts += src.VerifyAttempts
-	dst.VerifySuccesses += src.VerifySuccesses
-	dst.RouterExpansions += src.RouterExpansions
-}
-
-// MapCtx is Map with cancellation: ctx aborts the II sweep (in-flight
-// attempts unwind within one cluster iteration) and the run reports
-// failure. Options.SweepParallelism > 1 additionally runs that many II
-// attempts speculatively; the committed result is bit-identical to the
-// serial sweep's (see internal/sweep).
+// MapCtx is Map with cancellation: ctx aborts the serial II sweep
+// (in-flight attempts unwind within one cluster iteration) and the run
+// reports failure. Wider sweeps go through sweep.Drive with Row.
 func MapCtx(ctx context.Context, g *dfg.Graph, a *arch.CGRA, opt Options) (*mapping.Mapping, stats.Result) {
-	opt = opt.withDefaults()
-	res := stats.Result{Mapper: "Rewire", Kernel: g.Name, Arch: a.Name}
-	res.MII = mapping.MII(g, a)
-	start := time.Now()
+	return sweep.Drive(ctx, g, a, sweep.Solo(Row(opt), 1), opt.RunOptions)
+}
 
+// Row is Rewire's row in the backend table, tuned by opt's
+// Rewire-specific fields; the run options come from the driver.
+func Row(opt Options) sweep.Backend {
+	return sweep.Backend{Name: "rewire", Stat: "Rewire", Span: "rewire.map",
+		Attempt: func(ctx context.Context, g *dfg.Graph, a *arch.CGRA, ii int, seed int64, root *trace.Span, run sweep.RunOptions) (*mapping.Mapping, stats.Result, bool) {
+			o := opt // concurrent lanes share the row
+			o.RunOptions = run
+			return AttemptII(ctx, g, a, ii, seed, root, o)
+		}}
+}
+
+// AttemptII runs exactly one Rewire II attempt under root with a
+// driver-derived seed: draw up to AttemptsPerII fresh PF* initial
+// mappings and amend each cluster by cluster until one validates or
+// the II's time budget expires. It returns the mapping (nil on
+// failure), the attempt's private effort counters, and whether the II
+// is feasible. The outcome is a pure function of (g, a, ii, seed, opt).
+func AttemptII(ctx context.Context, g *dfg.Graph, a *arch.CGRA, ii int, seed int64, root *trace.Span, opt Options) (*mapping.Mapping, stats.Result, bool) {
+	opt = opt.withDefaults()
 	tr := opt.Tracer
 	ctr := newCounters(tr)
-	root := tr.StartSpan(nil, "rewire.map").
-		WithStr("kernel", g.Name).WithStr("arch", a.Name).WithInt("mii", int64(res.MII))
-	defer root.End()
-	lg := opt.Logger.With("mapper", "rewire", "kernel", g.Name, "arch", a.Name)
-	lg.Debug("map start", "mii", res.MII, "max_ii", opt.MaxII, "sweep_window", opt.SweepParallelism)
-	opt.Diag.Begin(g, a, "Rewire", res.MII)
-	opt.Progress.Publish(diag.Event{Type: "run_start", Mapper: "rewire",
-		Kernel: g.Name, Arch: a.Name, MII: res.MII})
-
-	runner := &iiRunner{g: g, a: a, opt: opt, tr: tr, ctr: ctr, root: root, lg: lg}
-	attemptII := func(actx context.Context, ii int) (iiOut, bool) {
-		return runner.attemptII(actx, ii, sweep.SeedForII(opt.Seed, ii))
-	}
-
-	win, winII, below, ok := sweep.Run(ctx, res.MII, opt.MaxII, attemptII, sweep.Options{
-		Parallelism: opt.SweepParallelism, Tracer: tr, Parent: root, Logger: lg,
-		Progress: opt.Progress,
-	})
-	for _, o := range below {
-		mergeEffort(&res, &o.st)
-	}
-	if ok {
-		mergeEffort(&res, &win.st)
-		res.Success = true
-		res.II = winII
-		res.Duration = time.Since(start)
-		opt.Diag.Commit(true, winII)
-		opt.Progress.Publish(diag.Event{Type: "run_end", II: winII, Outcome: "ok"})
-		lg.Info("mapped", "ii", winII, "mii", res.MII,
-			"amendments", res.ClusterAmendments, "duration_ms", res.Duration.Milliseconds())
-		return win.m, res
-	}
-	res.Duration = time.Since(start)
-	opt.Diag.Commit(false, 0)
-	opt.Progress.Publish(diag.Event{Type: "run_end", Outcome: "failed"})
-	lg.Warn("mapping failed", "mii", res.MII, "max_ii", opt.MaxII,
-		"duration_ms", res.Duration.Milliseconds())
-	return nil, res
-}
-
-// iiRunner carries the run-scoped state one II attempt needs: the
-// immutable inputs plus the run's instrumentation handles. MapCtx
-// builds one per run; AttemptII builds a root-less one per lane.
-type iiRunner struct {
-	g    *dfg.Graph
-	a    *arch.CGRA
-	opt  Options
-	tr   *trace.Tracer
-	ctr  counters
-	root *trace.Span
-	lg   *obs.Logger
-}
-
-// attemptII runs one II attempt with the given seed: draw up to
-// AttemptsPerII fresh PF* initial mappings and amend each cluster by
-// cluster until one validates or the II's time budget expires.
-func (r *iiRunner) attemptII(actx context.Context, ii int, iiSeed int64) (iiOut, bool) {
-	g, a, opt, tr, lg := r.g, r.a, r.opt, r.tr, r.lg
-	var out iiOut
-	rng := rand.New(rand.NewSource(iiSeed))
-	pace := sweep.NewPacer(actx, time.Now().Add(opt.TimePerII), paceEvery)
-	iiSpan := tr.StartSpan(r.root, "ii").WithInt("ii", int64(ii))
+	var st stats.Result
+	rng := rand.New(rand.NewSource(seed))
+	pace := sweep.NewPacer(ctx, time.Now().Add(opt.TimePerII), paceEvery)
+	iiSpan := tr.StartSpan(root, "ii").WithInt("ii", int64(ii))
 	// Rewire amends whatever initial mapping it is given; initial
 	// mappings vary a lot in amendability, so each II retries with a
 	// few fresh PF* initial seeds (bounded by AttemptsPerII and the
@@ -259,7 +159,7 @@ func (r *iiRunner) attemptII(actx context.Context, ii int, iiSeed int64) (iiOut,
 	for attempt := int64(0); attempt < int64(opt.AttemptsPerII) && (attempt == 0 || !pace.ExpiredNow()); attempt++ {
 		aSpan := tr.StartSpan(iiSpan, "attempt").WithInt("attempt", attempt)
 		m := mapping.New(g, a, ii)
-		sess, router := pathfinder.BuildInitialTraced(actx, m, iiSeed^(attempt<<16), &out.st, tr, aSpan)
+		sess, router := pathfinder.BuildInitialTraced(ctx, m, seed^(attempt<<16), &st, tr, aSpan)
 		att := opt.Diag.StartLane(ii, int(attempt), opt.Lane)
 		opt.Progress.Publish(diag.Event{Type: "attempt_start", II: ii, Attempt: int(attempt), Lane: opt.Lane})
 		am := &amender{
@@ -267,11 +167,11 @@ func (r *iiRunner) attemptII(actx context.Context, ii int, iiSeed int64) (iiOut,
 			sess:   sess,
 			router: router,
 			rng:    rng,
-			res:    &out.st,
+			res:    &st,
 			opt:    opt,
 			pace:   pace,
 			tr:     tr,
-			ctr:    r.ctr,
+			ctr:    ctr,
 			span:   aSpan,
 			att:    att,
 			bus:    opt.Progress,
@@ -280,8 +180,8 @@ func (r *iiRunner) attemptII(actx context.Context, ii int, iiSeed int64) (iiOut,
 		// Router work is accumulated per attempt — failed attempts
 		// spend real routing effort too, and each attempt owns a fresh
 		// router, so a final-attempt snapshot would drop the rest.
-		out.st.RouterExpansions += router.Expansions
-		r.ctr.routerExpansions.Add(router.Expansions)
+		st.RouterExpansions += router.Expansions
+		ctr.routerExpansions.Add(router.Expansions)
 		aSpan.WithBool("ok", ok).End()
 		if !ok {
 			// Post-mortem: name what the leftover ill-mapped edges are
@@ -289,11 +189,11 @@ func (r *iiRunner) attemptII(actx context.Context, ii int, iiSeed int64) (iiOut,
 			route.AttributeFailures(att, am.sess, am.router)
 		}
 		att.Finish(ok, am.sess)
-		if actx.Err() != nil {
+		if ctx.Err() != nil {
 			att.Cancelled()
 		}
 		opt.Progress.Publish(diag.Event{Type: "attempt_end", II: ii, Attempt: int(attempt),
-			Outcome: outcomeWord(ok, actx.Err() != nil), Lane: opt.Lane})
+			Outcome: diag.Outcome(ok, ctx.Err() != nil), Lane: opt.Lane})
 		if !ok {
 			am.sess.Close()
 			continue
@@ -302,50 +202,15 @@ func (r *iiRunner) attemptII(actx context.Context, ii int, iiSeed int64) (iiOut,
 			panic("rewire: produced invalid mapping: " + err.Error())
 		}
 		iiSpan.WithBool("ok", true).End()
-		out.m = am.sess.M
+		out := am.sess.M
 		am.sess.Close()
-		return out, true
+		return out, st, true
 	}
 	iiSpan.WithBool("ok", false).End()
-	if lg.On() {
-		lg.Debug("ii exhausted", "ii", ii)
+	if lg := opt.Logger; lg.On() {
+		lg.Debug("ii exhausted", "mapper", "rewire", "kernel", g.Name, "arch", a.Name, "ii", ii)
 	}
-	return out, false
-}
-
-// AttemptII runs exactly one Rewire II attempt with an externally
-// derived seed and returns the mapping (nil on failure), the attempt's
-// private effort counters, and whether the II is feasible. It is the
-// portfolio lane entry point (see internal/portfolio): the caller owns
-// the run lifecycle — diag Begin/Commit, run_start/run_end events, MII
-// — while AttemptII emits only per-attempt instrumentation, tagged
-// with opt.Lane when set. Determinism matches MapCtx: the outcome is a
-// pure function of (g, a, ii, seed, opt).
-func AttemptII(ctx context.Context, g *dfg.Graph, a *arch.CGRA, ii int, seed int64, opt Options) (*mapping.Mapping, stats.Result, bool) {
-	opt = opt.withDefaults()
-	tr := opt.Tracer
-	r := &iiRunner{
-		g: g, a: a, opt: opt, tr: tr, ctr: newCounters(tr),
-		lg: opt.Logger.With("mapper", "rewire", "kernel", g.Name, "arch", a.Name),
-	}
-	out, ok := r.attemptII(ctx, ii, seed)
-	st := out.st
-	st.Mapper = "Rewire"
-	st.Kernel = g.Name
-	st.Arch = a.Name
-	return out.m, st, ok
-}
-
-// outcomeWord is the progress-event outcome label for one attempt.
-func outcomeWord(ok, cancelled bool) string {
-	switch {
-	case ok:
-		return "ok"
-	case cancelled:
-		return "cancelled"
-	default:
-		return "failed"
-	}
+	return nil, st, false
 }
 
 // paceEvery is how many generator recursion steps pass between real

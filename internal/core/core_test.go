@@ -251,7 +251,7 @@ func TestRoundsHeuristics(t *testing.T) {
 
 func TestMapKernelEndToEnd(t *testing.T) {
 	g := kernels.MustLoad("mvt")
-	m, res := Map(g, arch.New4x4(4), Options{Seed: 1, TimePerII: 2 * time.Second})
+	m, res := Map(g, arch.New4x4(4), Options{RunOptions: sweep.RunOptions{Seed: 1, TimePerII: 2 * time.Second}})
 	if m == nil || !res.Success {
 		t.Fatalf("failed: %v", res)
 	}
@@ -287,7 +287,7 @@ func TestAmendmentOnlyTouchesIllRegions(t *testing.T) {
 
 func TestVerifyCountersTrackAttempts(t *testing.T) {
 	g := kernels.MustLoad("lu")
-	_, res := Map(g, arch.New4x4(4), Options{Seed: 2, TimePerII: 2 * time.Second})
+	_, res := Map(g, arch.New4x4(4), Options{RunOptions: sweep.RunOptions{Seed: 2, TimePerII: 2 * time.Second}})
 	if !res.Success {
 		t.Skip("no mapping in budget")
 	}

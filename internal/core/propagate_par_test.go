@@ -11,6 +11,7 @@ import (
 	"rewire/internal/mapping"
 	"rewire/internal/pathfinder"
 	"rewire/internal/stats"
+	"rewire/internal/sweep"
 )
 
 // illAmender builds an amender over a real PF* initial mapping (the
@@ -167,8 +168,8 @@ func TestMapWithParallelPropagationMatchesSerial(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	g := kernels.MustLoad("doitgen")
 	a := arch.New4x4(4)
-	_, serial := Map(g, a, Options{Seed: 5, TimePerII: time.Hour, SerialPropagation: true})
-	_, parallel := Map(g, a, Options{Seed: 5, TimePerII: time.Hour})
+	_, serial := Map(g, a, Options{RunOptions: sweep.RunOptions{Seed: 5, TimePerII: time.Hour}, SerialPropagation: true})
+	_, parallel := Map(g, a, Options{RunOptions: sweep.RunOptions{Seed: 5, TimePerII: time.Hour}})
 	if serial.Success != parallel.Success || serial.II != parallel.II {
 		t.Fatalf("II differs: serial %+v, parallel %+v", serial, parallel)
 	}

@@ -9,6 +9,7 @@ import (
 
 	"rewire/internal/arch"
 	"rewire/internal/kernels"
+	"rewire/internal/sweep"
 )
 
 // mapDigest maps one kernel and returns a digest of everything the
@@ -19,7 +20,7 @@ func mapDigest(t *testing.T, kernel string, seed int64) string {
 	t.Helper()
 	g := kernels.MustLoad(kernel)
 	a := arch.New4x4(4)
-	m, res := Map(g, a, Options{Seed: seed, TimePerII: time.Hour})
+	m, res := Map(g, a, Options{RunOptions: sweep.RunOptions{Seed: seed, TimePerII: time.Hour}})
 	h := sha256.New()
 	if m != nil {
 		for v, p := range m.Place {

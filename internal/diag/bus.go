@@ -39,6 +39,19 @@ type Event struct {
 	Lane string `json:"lane,omitempty"`
 }
 
+// Outcome is the progress-event outcome label of a finished attempt:
+// "ok", else "cancelled" when it was torn down, else "failed".
+func Outcome(ok, cancelled bool) string {
+	switch {
+	case ok:
+		return "ok"
+	case cancelled:
+		return "cancelled"
+	default:
+		return "failed"
+	}
+}
+
 // Bus is a bounded, drop-oldest progress-event bus. Producers (the
 // mappers and the sweep engine) Publish; consumers either Subscribe for
 // a live stream (the SSE endpoint) or snapshot the retained ring with

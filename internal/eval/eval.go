@@ -21,18 +21,16 @@ import (
 	"time"
 
 	"rewire/internal/arch"
-	"rewire/internal/core"
 	"rewire/internal/dfg"
 	"rewire/internal/diag"
 	"rewire/internal/kernels"
 	"rewire/internal/ledger"
 	"rewire/internal/mapping"
 	"rewire/internal/obs"
-	"rewire/internal/pathfinder"
 	"rewire/internal/portfolio"
 	"rewire/internal/resultcache"
-	"rewire/internal/sa"
 	"rewire/internal/stats"
+	"rewire/internal/sweep"
 	"rewire/internal/trace"
 	"rewire/internal/viz"
 )
@@ -111,8 +109,8 @@ type Config struct {
 	Mappers []string
 	// PortfolioBackends selects the backends raced by "Portfolio" runs
 	// (canonicalised — priority order, aliases folded). Empty races the
-	// full registry. Part of the result fingerprint: a subset explores a
-	// different schedule and may commit a different mapping.
+	// full backend table. Part of the result fingerprint: a subset
+	// explores a different schedule and may commit a different mapping.
 	PortfolioBackends []string
 	// PortfolioParallelism is the lane width of "Portfolio" runs (0 races
 	// one lane per backend; 1 is the priority-ordered serial schedule).
@@ -280,36 +278,18 @@ func appendLedger(cfg Config, g *dfg.Graph, a *arch.CGRA, mapper string, res sta
 	}
 }
 
-// runDFGUncached dispatches to the selected mapper.
+// runDFGUncached runs the selected mapper's plan from the backend
+// table through the one mapper driver.
 func runDFGUncached(mapper string, g *dfg.Graph, a *arch.CGRA, cfg Config) (*mapping.Mapping, stats.Result) {
-	switch mapper {
-	case "Rewire":
-		return core.Map(g, a, core.Options{
-			Seed: cfg.Seed, MaxII: cfg.MaxII, TimePerII: cfg.TimePerII,
-			SweepParallelism: cfg.SweepParallelism,
-			Tracer:           cfg.Tracer, Logger: cfg.Logger, Diag: cfg.Diag,
-		})
-	case "PF*":
-		return pathfinder.Map(g, a, pathfinder.Options{
-			Seed: cfg.Seed, MaxII: cfg.MaxII, TimePerII: cfg.TimePerII,
-			SweepParallelism: cfg.SweepParallelism,
-			Tracer:           cfg.Tracer, Logger: cfg.Logger, Diag: cfg.Diag,
-		})
-	case "SA":
-		return sa.Map(g, a, sa.Options{
-			Seed: cfg.Seed, MaxII: cfg.MaxII, TimePerII: cfg.TimePerII,
-			SweepParallelism: cfg.SweepParallelism,
-			Tracer:           cfg.Tracer, Logger: cfg.Logger, Diag: cfg.Diag,
-		})
-	case "Portfolio":
-		return portfolio.Map(g, a, portfolio.Options{
-			Seed: cfg.Seed, MaxII: cfg.MaxII, TimePerII: cfg.TimePerII,
-			Backends: cfg.PortfolioBackends, Parallelism: cfg.PortfolioParallelism,
-			Tracer: cfg.Tracer, Logger: cfg.Logger, Diag: cfg.Diag,
-		})
-	default:
-		panic("eval: unknown mapper " + mapper)
+	plan, err := portfolio.Plan(mapper, cfg.PortfolioBackends,
+		cfg.SweepParallelism, cfg.PortfolioParallelism)
+	if err != nil {
+		panic("eval: " + err.Error())
 	}
+	return sweep.Drive(context.Background(), g, a, plan, sweep.RunOptions{
+		Seed: cfg.Seed, MaxII: cfg.MaxII, TimePerII: cfg.TimePerII,
+		Tracer: cfg.Tracer, Logger: cfg.Logger, Diag: cfg.Diag,
+	})
 }
 
 // Results is the full evaluation outcome, indexed by mapper then combo
@@ -424,9 +404,11 @@ func RunCombos(cfg Config, combos []Combo) *Results {
 
 // runOne executes one mapper run for RunCombos. With Config.TraceDir set
 // the run gets a private tracer whose spans and counters are exported to
-// a pair of files named after the run; otherwise the shared Config.Tracer
-// (usually nil) is used as-is. Export failures are reported on stderr —
-// never on Config.Out, which the in-order flush owns.
+// a pair of files named after the run — one span tree, the mapping run
+// alone, so the kernel loads outside it; otherwise the shared
+// Config.Tracer (usually nil) is used as-is. Export failures are
+// reported on stderr — never on Config.Out, which the in-order flush
+// owns.
 func runOne(mapper string, cb Combo, cfg Config) stats.Result {
 	if cfg.TraceDir == "" && cfg.ReportDir == "" {
 		_, res := Run(mapper, cb, cfg)
@@ -442,7 +424,7 @@ func runOne(mapper string, cb Combo, cfg Config) stats.Result {
 		dc = diag.NewCollector()
 		cfg.Diag = dc
 	}
-	_, res := Run(mapper, cb, cfg)
+	_, res := RunDFG(mapper, kernels.MustLoad(cb.Kernel), cb.Arch, cfg)
 	// Surface export failures through the structured logger; with no
 	// logger wired, fall back to the shared stderr default rather than
 	// losing the error (Config.Out is owned by the in-order progress

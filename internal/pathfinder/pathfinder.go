@@ -23,7 +23,6 @@ import (
 	"rewire/internal/diag"
 	"rewire/internal/mapping"
 	"rewire/internal/mrrg"
-	"rewire/internal/obs"
 	"rewire/internal/placer"
 	"rewire/internal/route"
 	"rewire/internal/stats"
@@ -33,14 +32,7 @@ import (
 
 // Options tunes the mapper. Zero values select the defaults.
 type Options struct {
-	// Seed drives all randomized tie-breaking; runs are reproducible per
-	// seed.
-	Seed int64
-	// MaxII caps the explored initiation intervals (default 32).
-	MaxII int
-	// TimePerII bounds the wall-clock spent per II (default 10s; the
-	// paper allowed one hour on a Xeon).
-	TimePerII time.Duration
+	sweep.RunOptions
 	// RemapsPerII bounds single-node remapping iterations per II
 	// (default 40 per DFG node).
 	RemapsPerII int
@@ -52,41 +44,10 @@ type Options struct {
 	// initial-mapping phase uses a narrow beam instead, since amendment
 	// only needs a rough starting point.
 	CandidateBeam int
-	// SweepParallelism is the speculative II-sweep window: how many II
-	// attempts may run concurrently (see internal/sweep and
-	// docs/CONCURRENCY.md). 0 or 1 is the serial sweep. Every per-II
-	// attempt derives its randomness from sweep.SeedForII(Seed, II), so
-	// the committed (II, mapping) is bit-identical at every width.
-	SweepParallelism int
-
-	// Tracer receives phase spans and work counters for the run (see
-	// internal/trace and docs/OBSERVABILITY.md). nil disables tracing at
-	// ~zero hot-path cost.
-	Tracer *trace.Tracer
-	// Logger receives run- and II-level structured log records. nil
-	// disables logging at one pointer check per site, like the tracer.
-	Logger *obs.Logger
-	// Diag accumulates the post-mortem: per-resource contention from the
-	// rip-up/history loop, the per-II convergence series, unroutable
-	// edges. nil disables collection at one pointer check per site.
-	Diag *diag.Collector
-	// Progress receives coarse progress events (run, II-attempt and
-	// remap-round boundaries) for live streaming. nil disables
-	// publishing at one pointer check per site.
-	Progress *diag.Bus
-	// Lane tags this run's diag attempts and progress events with a
-	// portfolio lane label (see internal/portfolio); empty outside
-	// portfolio runs.
-	Lane string
 }
 
 func (o Options) withDefaults(n int) Options {
-	if o.MaxII == 0 {
-		o.MaxII = 32
-	}
-	if o.TimePerII == 0 {
-		o.TimePerII = 10 * time.Second
-	}
+	o.RunOptions = o.RunOptions.WithDefaults()
 	if o.RemapsPerII == 0 {
 		o.RemapsPerII = 40 * n
 	}
@@ -99,169 +60,73 @@ func Map(g *dfg.Graph, a *arch.CGRA, opt Options) (*mapping.Mapping, stats.Resul
 	return MapCtx(context.Background(), g, a, opt)
 }
 
-// iiOutcome is one II attempt's result: the mapping (nil on failure)
-// and the attempt's private effort counters, merged into the run's
-// stats.Result in ascending II order once the sweep commits.
-type iiOutcome struct {
-	m      *mapping.Mapping
-	st     stats.Result
-	remaps int
-}
-
-// MapCtx is Map with cancellation: ctx aborts the II sweep (in-flight
-// attempts unwind within one remap iteration) and the run reports
-// failure. Options.SweepParallelism > 1 additionally runs that many II
-// attempts speculatively; the committed result is bit-identical to the
-// serial sweep's (see internal/sweep).
+// MapCtx is Map with cancellation: ctx aborts the serial II sweep
+// (in-flight attempts unwind within one remap iteration) and the run
+// reports failure. Wider sweeps go through sweep.Drive with Row.
 func MapCtx(ctx context.Context, g *dfg.Graph, a *arch.CGRA, opt Options) (*mapping.Mapping, stats.Result) {
+	return sweep.Drive(ctx, g, a, sweep.Solo(Row(opt), 1), opt.RunOptions)
+}
+
+// Row is PF*'s row in the backend table, tuned by opt's PF*-specific
+// fields; the run options come from the driver.
+func Row(opt Options) sweep.Backend {
+	return sweep.Backend{Name: "pathfinder", Stat: "PF*", Span: "pf.map",
+		Attempt: func(ctx context.Context, g *dfg.Graph, a *arch.CGRA, ii int, seed int64, root *trace.Span, run sweep.RunOptions) (*mapping.Mapping, stats.Result, bool) {
+			o := opt // concurrent lanes share the row
+			o.RunOptions = run
+			return AttemptII(ctx, g, a, ii, seed, root, o)
+		}}
+}
+
+// AttemptII runs exactly one PF* II attempt under root with a
+// driver-derived seed: initial placement followed by the
+// rip-up/history negotiation loop until the mapping validates or the
+// II's remap/time budgets expire. It returns the mapping (nil on
+// failure), the attempt's private effort counters (RemapIterations
+// holds this attempt's remap count), and whether the II is feasible.
+// The outcome is a pure function of (g, a, ii, seed, opt).
+func AttemptII(ctx context.Context, g *dfg.Graph, a *arch.CGRA, ii int, seed int64, root *trace.Span, opt Options) (*mapping.Mapping, stats.Result, bool) {
 	opt = opt.withDefaults(g.NumNodes())
-	res := stats.Result{Mapper: "PF*", Kernel: g.Name, Arch: a.Name}
-	res.MII = mapping.MII(g, a)
-	start := time.Now()
-
 	tr := opt.Tracer
-	root := tr.StartSpan(nil, "pf.map").
-		WithStr("kernel", g.Name).WithStr("arch", a.Name).WithInt("mii", int64(res.MII))
-	defer root.End()
-	lg := opt.Logger.With("mapper", "pathfinder", "kernel", g.Name, "arch", a.Name)
-	lg.Debug("map start", "mii", res.MII, "max_ii", opt.MaxII, "sweep_window", opt.SweepParallelism)
-	opt.Diag.Begin(g, a, "PF*", res.MII)
-	opt.Progress.Publish(diag.Event{Type: "run_start", Mapper: "pathfinder",
-		Kernel: g.Name, Arch: a.Name, MII: res.MII})
-
-	runner := &iiRunner{g: g, a: a, opt: opt, tr: tr, root: root, lg: lg}
-	attempt := func(actx context.Context, ii int) (iiOutcome, bool) {
-		return runner.attemptII(actx, ii, sweep.SeedForII(opt.Seed, ii))
-	}
-
-	win, winII, below, ok := sweep.Run(ctx, res.MII, opt.MaxII, attempt, sweep.Options{
-		Parallelism: opt.SweepParallelism, Tracer: tr, Parent: root, Logger: lg,
-		Progress: opt.Progress,
-	})
-	totalRemaps := 0
-	for _, o := range below {
-		res.PlacementsTried += o.st.PlacementsTried
-		res.RouterExpansions += o.st.RouterExpansions
-		totalRemaps += o.remaps
-	}
-	iisExplored := len(below)
-	if ok {
-		res.PlacementsTried += win.st.PlacementsTried
-		res.RouterExpansions += win.st.RouterExpansions
-		totalRemaps += win.remaps
-		iisExplored++
-		res.Success = true
-		res.II = winII
-		res.Duration = time.Since(start)
-		res.RemapIterations = totalRemaps / iisExplored
-		opt.Diag.Commit(true, winII)
-		opt.Progress.Publish(diag.Event{Type: "run_end", II: winII, Outcome: "ok"})
-		lg.Info("mapped", "ii", winII, "mii", res.MII,
-			"remaps", res.RemapIterations, "duration_ms", res.Duration.Milliseconds())
-		return win.m, res
-	}
-	res.Duration = time.Since(start)
-	if iisExplored > 0 {
-		res.RemapIterations = totalRemaps / iisExplored
-	}
-	opt.Diag.Commit(false, 0)
-	opt.Progress.Publish(diag.Event{Type: "run_end", Outcome: "failed"})
-	lg.Warn("mapping failed", "mii", res.MII, "max_ii", opt.MaxII,
-		"duration_ms", res.Duration.Milliseconds())
-	return nil, res
-}
-
-// iiRunner carries the run-scoped state one II attempt needs: the
-// immutable inputs plus the run's instrumentation handles. MapCtx
-// builds one per run; AttemptII builds a root-less one per lane.
-type iiRunner struct {
-	g    *dfg.Graph
-	a    *arch.CGRA
-	opt  Options
-	tr   *trace.Tracer
-	root *trace.Span
-	lg   *obs.Logger
-}
-
-// attemptII runs one II attempt with the given seed: initial placement
-// followed by the rip-up/history negotiation loop until the mapping
-// validates or the II's remap/time budgets expire.
-func (r *iiRunner) attemptII(actx context.Context, ii int, iiSeed int64) (iiOutcome, bool) {
-	g, a, opt, tr, lg := r.g, r.a, r.opt, r.tr, r.lg
-	var out iiOutcome
-	rng := rand.New(rand.NewSource(iiSeed))
-	iiSpan := tr.StartSpan(r.root, "ii").WithInt("ii", int64(ii))
+	var st stats.Result
+	var out *mapping.Mapping
+	rng := rand.New(rand.NewSource(seed))
+	iiSpan := tr.StartSpan(root, "ii").WithInt("ii", int64(ii))
 	ms := tr.StartSpan(iiSpan, "mrrg_build")
-	p := newPerII(g, a, ii, rng, &out.st)
+	p := newPerII(g, a, ii, rng, &st)
 	ms.End()
 	p.beam = opt.CandidateBeam
 	p.instrument(tr, iiSpan)
 	p.att = opt.Diag.StartLane(ii, 0, opt.Lane)
 	p.bus = opt.Progress
 	p.bus.Publish(diag.Event{Type: "attempt_start", II: ii, Lane: opt.Lane})
-	ok := p.run(actx, opt)
-	out.remaps = p.remaps
+	ok := p.run(ctx, opt)
+	st.RemapIterations = p.remaps
 	// Each II owns a fresh router; accumulate its work win or lose so
 	// RouterExpansions reflects the whole sweep, not the last II.
-	out.st.RouterExpansions += p.router.Expansions
+	st.RouterExpansions += p.router.Expansions
 	p.ctr.routerExpansions.Add(p.router.Expansions)
 	iiSpan.WithBool("ok", ok).WithInt("remaps", int64(p.remaps)).End()
 	if ok {
-		finalize(p.sess.M, &out.st)
-		out.m = p.sess.M
+		finalize(p.sess.M, &st)
+		out = p.sess.M
 	} else {
 		// Post-mortem: name the resources the unroutable edges are
 		// fighting over (diagnostic-only, nil-safe).
 		route.AttributeFailures(p.att, p.sess, p.router)
 	}
 	p.att.Finish(ok, p.sess)
-	if actx.Err() != nil {
+	if ctx.Err() != nil {
 		p.att.Cancelled()
 	}
 	p.bus.Publish(diag.Event{Type: "attempt_end", II: ii, Round: p.remaps,
-		Outcome: outcomeWord(ok, actx.Err() != nil), Lane: opt.Lane})
+		Outcome: diag.Outcome(ok, ctx.Err() != nil), Lane: opt.Lane})
 	p.sess.Close()
-	if !ok && lg.On() {
-		lg.Debug("ii exhausted", "ii", ii, "remaps", p.remaps)
+	if lg := opt.Logger; !ok && lg.On() {
+		lg.Debug("ii exhausted", "mapper", "pathfinder", "kernel", g.Name, "arch", a.Name,
+			"ii", ii, "remaps", p.remaps)
 	}
-	return out, ok
-}
-
-// AttemptII runs exactly one PF* II attempt with an externally derived
-// seed and returns the mapping (nil on failure), the attempt's private
-// effort counters (RemapIterations holds this attempt's remap count),
-// and whether the II is feasible. It is the portfolio lane entry point
-// (see internal/portfolio): the caller owns the run lifecycle — diag
-// Begin/Commit, run_start/run_end events, MII — while AttemptII emits
-// only per-attempt instrumentation, tagged with opt.Lane when set.
-// Determinism matches MapCtx: the outcome is a pure function of
-// (g, a, ii, seed, opt).
-func AttemptII(ctx context.Context, g *dfg.Graph, a *arch.CGRA, ii int, seed int64, opt Options) (*mapping.Mapping, stats.Result, bool) {
-	opt = opt.withDefaults(g.NumNodes())
-	tr := opt.Tracer
-	r := &iiRunner{
-		g: g, a: a, opt: opt, tr: tr,
-		lg: opt.Logger.With("mapper", "pathfinder", "kernel", g.Name, "arch", a.Name),
-	}
-	out, ok := r.attemptII(ctx, ii, seed)
-	st := out.st
-	st.Mapper = "PF*"
-	st.Kernel = g.Name
-	st.Arch = a.Name
-	st.RemapIterations = out.remaps
-	return out.m, st, ok
-}
-
-// outcomeWord is the progress-event outcome label for one attempt.
-func outcomeWord(ok, cancelled bool) string {
-	switch {
-	case ok:
-		return "ok"
-	case cancelled:
-		return "cancelled"
-	default:
-		return "failed"
-	}
+	return out, st, ok
 }
 
 // finalize validates the result defensively; an invalid "success" is a

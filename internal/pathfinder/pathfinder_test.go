@@ -10,6 +10,7 @@ import (
 	"rewire/internal/kernels"
 	"rewire/internal/mapping"
 	"rewire/internal/stats"
+	"rewire/internal/sweep"
 )
 
 func tinyChain() *dfg.Graph {
@@ -26,7 +27,7 @@ func tinyChain() *dfg.Graph {
 }
 
 func TestMapTinyChainReachesMII(t *testing.T) {
-	m, res := Map(tinyChain(), arch.New4x4(4), Options{Seed: 1, TimePerII: 2 * time.Second})
+	m, res := Map(tinyChain(), arch.New4x4(4), Options{RunOptions: sweep.RunOptions{Seed: 1, TimePerII: 2 * time.Second}})
 	if m == nil || !res.Success {
 		t.Fatalf("mapping failed: %v", res)
 	}
@@ -45,8 +46,8 @@ func TestMapIsDeterministicPerSeed(t *testing.T) {
 	// wall-clock budget bind and the runs diverge.
 	g := kernels.MustLoad("mvt")
 	a := arch.New4x4(4)
-	_, r1 := Map(g, a, Options{Seed: 42, TimePerII: time.Hour})
-	_, r2 := Map(g, a, Options{Seed: 42, TimePerII: time.Hour})
+	_, r1 := Map(g, a, Options{RunOptions: sweep.RunOptions{Seed: 42, TimePerII: time.Hour}})
+	_, r2 := Map(g, a, Options{RunOptions: sweep.RunOptions{Seed: 42, TimePerII: time.Hour}})
 	if r1.II != r2.II || r1.RemapIterations != r2.RemapIterations {
 		t.Fatalf("same seed diverged: %v vs %v", r1, r2)
 	}
@@ -56,7 +57,7 @@ func TestMapRespectsMaxII(t *testing.T) {
 	// An unsatisfiable setup: memory kernel on a fabric whose MaxII is
 	// below any feasible II. crc has RecMII 8, so MaxII 2 must fail fast.
 	g := kernels.MustLoad("crc")
-	m, res := Map(g, arch.New4x4(4), Options{Seed: 1, MaxII: 2, TimePerII: time.Second})
+	m, res := Map(g, arch.New4x4(4), Options{RunOptions: sweep.RunOptions{Seed: 1, MaxII: 2, TimePerII: time.Second}})
 	if m != nil || res.Success {
 		t.Fatal("must fail when MaxII < RecMII")
 	}
@@ -84,7 +85,7 @@ func TestBuildInitialPlacesMostNodes(t *testing.T) {
 
 func TestRemapIterationsCounted(t *testing.T) {
 	g := kernels.MustLoad("gramsch")
-	_, res := Map(g, arch.New4x4(4), Options{Seed: 1, TimePerII: 2 * time.Second})
+	_, res := Map(g, arch.New4x4(4), Options{RunOptions: sweep.RunOptions{Seed: 1, TimePerII: 2 * time.Second}})
 	if !res.Success {
 		t.Skip("gramsch did not map in budget")
 	}
@@ -107,7 +108,7 @@ func TestMinHops(t *testing.T) {
 func TestMapValidatedOutputsOnPresets(t *testing.T) {
 	g := kernels.MustLoad("viterbi")
 	for _, a := range arch.Presets() {
-		m, res := Map(g, a, Options{Seed: 3, TimePerII: 2 * time.Second})
+		m, res := Map(g, a, Options{RunOptions: sweep.RunOptions{Seed: 3, TimePerII: 2 * time.Second}})
 		if m == nil {
 			t.Logf("%s: no mapping (%v)", a.Name, res)
 			continue

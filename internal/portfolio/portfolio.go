@@ -1,124 +1,69 @@
 // Package portfolio races heterogeneous mapper backends — Rewire, PF*
-// and SA, with room for a future exact mapper — against each other per
-// II under one shared budget. No single backend is fastest on every
-// kernel shape; the portfolio's wall-clock is the minimum over its
-// backends for each kernel, behind the same deterministic commit
-// contract the speculative II sweep established.
+// and SA — against each other per II under one shared budget. No single
+// backend is fastest on every kernel shape; the portfolio's wall-clock
+// is the minimum over its backends for each kernel, behind the same
+// deterministic commit contract the speculative II sweep established.
 //
-// The scheduler is a flattening of (II, backend) pairs onto the
-// existing sweep engine. "Lowest feasible II wins, fixed backend
-// priority breaks same-II ties" is exactly "first success in the total
-// order (II ascending, priority descending)", so lane k stands for
-// II = MII + k/B and backend = Order[k%B], and sweep.Run's in-order
-// commit over lane indices implements the whole contract: a success at
-// one II cancels all lanes at higher IIs immediately (they are higher
-// lane indices), a same-II lower-priority lane is likewise above the
-// winner and gets cancelled once the winner is known, and lanes at or
-// below the winner are never cancelled — so the committed (II,
-// backend, mapping) and the merged effort stats are bit-identical at
-// every parallelism width, including width 1 (the priority-ordered
-// serial schedule). Per-lane seeds come from sweep.SeedForBackend, so
-// every lane is a pure function of (run seed, backend, II). See
-// docs/CONCURRENCY.md, "Layer 4".
+// The package owns the static backend table, in fixed priority order,
+// and resolves names against it. The race itself is sweep.Drive over
+// the selected rows with racing on: lane k stands for II = MII + k/B and
+// backend k%B, so "lowest feasible II wins, fixed backend priority
+// breaks same-II ties" is exactly the sweep's in-order commit over lane
+// indices, and the committed (II, backend, mapping) and the merged
+// effort stats are bit-identical at every parallelism width, including
+// width 1 (the priority-ordered serial schedule). Per-lane seeds come
+// from sweep.SeedForBackend, so every lane is a pure function of (run
+// seed, backend, II). See docs/CONCURRENCY.md, "Layer 4".
 package portfolio
 
 import (
-	"context"
 	"strings"
-	"sync"
-	"time"
 
-	"rewire/internal/arch"
 	"rewire/internal/core"
-	"rewire/internal/dfg"
-	"rewire/internal/diag"
-	"rewire/internal/mapping"
-	"rewire/internal/obs"
 	"rewire/internal/pathfinder"
 	"rewire/internal/sa"
-	"rewire/internal/stats"
 	"rewire/internal/sweep"
-	"rewire/internal/trace"
 )
 
-// LaneOptions is the per-lane slice of the portfolio's run options a
-// backend attempt receives: the shared budget plus the run's
-// observability handles. Lane carries the backend's own canonical name
-// so its diag attempts and progress events stay distinguishable from
-// same-II rivals.
-type LaneOptions struct {
-	TimePerII time.Duration
-	Tracer    *trace.Tracer
-	Logger    *obs.Logger
-	Diag      *diag.Collector
-	Progress  *diag.Bus
-	Lane      string
+// table is the backend table in priority order, highest first: a tie
+// at the same II commits the earliest row. Each row runs its mapper
+// with the paper's default tuning.
+var table = []sweep.Backend{
+	core.Row(core.Options{}),
+	pathfinder.Row(pathfinder.Options{}),
+	sa.Row(sa.Options{}),
 }
 
-// Backend is one registered mapper the portfolio can race.
-type Backend struct {
-	// Name is the canonical lane label ("rewire", "pathfinder", "sa").
-	Name string
-	// StatName is the display name the backend's own stats use
-	// ("Rewire", "PF*", "SA").
-	StatName string
-	// Attempt runs exactly one II attempt with an externally derived
-	// seed: no internal II sweep, no run lifecycle (the portfolio owns
-	// diag Begin/Commit and run_start/run_end). It must be a pure
-	// function of (g, a, ii, seed) — all randomness from seed, all
-	// mutable state owned — so lanes stay independent.
-	Attempt func(ctx context.Context, g *dfg.Graph, a *arch.CGRA, ii int, seed int64, lane LaneOptions) (*mapping.Mapping, stats.Result, bool)
-}
-
-// The registry. Order is the fixed priority list, highest first: a tie
-// at the same II commits the earliest backend in Order. Registration
-// order is priority order; the three built-ins occupy the top slots
-// and future backends (an exact/SAT mapper, say) append below them via
-// Register.
-var (
-	regMu    sync.RWMutex
-	registry = map[string]Backend{}
-	order    []string
-)
-
-func init() {
-	Register(Backend{Name: "rewire", StatName: "Rewire", Attempt: rewireAttempt})
-	Register(Backend{Name: "pathfinder", StatName: "PF*", Attempt: pathfinderAttempt})
-	Register(Backend{Name: "sa", StatName: "SA", Attempt: saAttempt})
-}
-
-// Register adds a backend at the lowest priority (the end of Order).
-// Registering an existing name replaces its implementation in place,
-// keeping its priority. Backend names must already be canonical:
-// lower-case, no aliases.
-func Register(b Backend) {
-	if b.Name == "" || b.Attempt == nil {
-		panic("portfolio: Register needs a name and an attempt function")
+// Backends resolves a backend subset — aliases folded, duplicates
+// dropped — into table rows in priority order. nil/empty selects every
+// row. The subset's order never carries meaning: priority is fixed by
+// the table, so "sa,rewire" and "rewire,sa" are the same portfolio.
+func Backends(names []string) ([]sweep.Backend, error) {
+	want := map[string]bool{}
+	for _, n := range names {
+		c, ok := canonicalName(n)
+		if !ok {
+			known := make([]string, len(table))
+			for i, b := range table {
+				known[i] = b.Name
+			}
+			return nil, &UnknownBackendError{Name: n, Known: known}
+		}
+		want[c] = true
 	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, exists := registry[b.Name]; !exists {
-		order = append(order, b.Name)
+	var bs []sweep.Backend
+	for _, b := range table {
+		if len(names) == 0 || want[b.Name] {
+			bs = append(bs, b)
+		}
 	}
-	registry[b.Name] = b
+	return bs, nil
 }
 
-// Order returns the registered backend names in priority order,
-// highest first.
-func Order() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	return append([]string(nil), order...)
-}
-
-// Canonical resolves a backend subset — aliases folded, duplicates
-// dropped, re-sorted into registry priority order — and returns it as
+// Canonical resolves a backend subset like Backends and returns it as
 // the canonical comma-joined string used by fingerprints and flags.
-// nil/empty selects every registered backend. The subset's order never
-// carries meaning: priority is fixed by the registry, so "sa,rewire"
-// and "rewire,sa" are the same portfolio (and the same cache key).
 func Canonical(names []string) (string, error) {
-	bs, err := resolve(names)
+	bs, err := Backends(names)
 	if err != nil {
 		return "", err
 	}
@@ -144,36 +89,10 @@ func ParseBackends(csv string) []string {
 	return out
 }
 
-// resolve canonicalises a backend subset into Backend values in
-// priority order.
-func resolve(names []string) ([]Backend, error) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	want := map[string]bool{}
-	if len(names) == 0 {
-		for _, n := range order {
-			want[n] = true
-		}
-	}
-	for _, n := range names {
-		c, ok := canonicalNameLocked(n)
-		if !ok {
-			return nil, &UnknownBackendError{Name: n, Known: append([]string(nil), order...)}
-		}
-		want[c] = true
-	}
-	var bs []Backend
-	for _, n := range order {
-		if want[n] {
-			bs = append(bs, registry[n])
-		}
-	}
-	return bs, nil
-}
-
-// canonicalNameLocked is canonicalName with regMu already held.
-func canonicalNameLocked(name string) (string, bool) {
-	switch s := strings.ToLower(strings.TrimSpace(name)); s {
+// canonicalName folds a backend name or alias, in any case, onto its
+// table name.
+func canonicalName(name string) (string, bool) {
+	switch strings.ToLower(strings.TrimSpace(name)) {
 	case "rewire":
 		return "rewire", true
 	case "pf", "pf*", "pathfinder":
@@ -181,13 +100,11 @@ func canonicalNameLocked(name string) (string, bool) {
 	case "sa":
 		return "sa", true
 	default:
-		_, exists := registry[s]
-		return s, exists
+		return "", false
 	}
 }
 
-// UnknownBackendError reports a backend name no registered backend
-// answers to.
+// UnknownBackendError reports a backend name no table row answers to.
 type UnknownBackendError struct {
 	Name  string
 	Known []string
@@ -197,235 +114,22 @@ func (e *UnknownBackendError) Error() string {
 	return "portfolio: unknown backend \"" + e.Name + "\" (registered: " + strings.Join(e.Known, ", ") + ")"
 }
 
-// Options tunes one portfolio run. Zero values select the defaults.
-type Options struct {
-	// Seed drives all randomness: each lane's stream is
-	// sweep.SeedForBackend(Seed, backend, II).
-	Seed int64
-	// MaxII caps the explored initiation intervals (default 32).
-	MaxII int
-	// TimePerII bounds the wall-clock each lane spends on its II
-	// (default 10s), the same budget a single-backend run would get.
-	TimePerII time.Duration
-	// Backends selects the racing subset by name or alias; nil/empty
-	// races every registered backend. Priority is always registry
-	// order, never the order given here.
-	Backends []string
-	// Parallelism is the lane window: how many (backend, II) lanes may
-	// run concurrently. 0 defaults to the backend count, so every
-	// backend races at the lowest unresolved II; 1 is the serial
-	// schedule (priority-ordered backends per II, lowest II first),
-	// which commits the identical result. This multiplies on top of
-	// each backend's own intra-attempt parallelism — see the
-	// oversubscription math in docs/CONCURRENCY.md, "Layer 4".
-	Parallelism int
-
-	// Tracer/Logger/Diag/Progress are shared by the portfolio and every
-	// lane; all nil-safe, all free when off.
-	Tracer   *trace.Tracer
-	Logger   *obs.Logger
-	Diag     *diag.Collector
-	Progress *diag.Bus
-}
-
-func (o Options) withDefaults() Options {
-	if o.MaxII == 0 {
-		o.MaxII = 32
+// Plan looks mapper up in the table and returns its driver plan: the
+// race over backends, with window laneWidth, for "portfolio"; otherwise
+// the named backend (canonical or display name, any alias) alone, with
+// window sweepWidth. backends is ignored by single mappers.
+func Plan(mapper string, backends []string, sweepWidth, laneWidth int) (sweep.Plan, error) {
+	if !strings.EqualFold(strings.TrimSpace(mapper), "portfolio") {
+		bs, err := Backends([]string{mapper})
+		if err != nil {
+			return sweep.Plan{}, err
+		}
+		return sweep.Solo(bs[0], sweepWidth), nil
 	}
-	if o.TimePerII == 0 {
-		o.TimePerII = 10 * time.Second
-	}
-	return o
-}
-
-// Map races the portfolio to completion.
-func Map(g *dfg.Graph, a *arch.CGRA, opt Options) (*mapping.Mapping, stats.Result) {
-	return MapCtx(context.Background(), g, a, opt)
-}
-
-// laneOut is one lane's outcome.
-type laneOut struct {
-	m  *mapping.Mapping
-	st stats.Result
-}
-
-// laneTally is one lane's wall-clock accounting, written exactly once
-// by the lane's goroutine. Reads happen only after sweep.Run returns,
-// which drains every launched lane first, so the slice needs no lock.
-type laneTally struct {
-	launched  bool
-	cancelled bool
-	elapsedMS int64
-}
-
-// MapCtx is Map with cancellation. The committed result is always the
-// one from the highest-priority backend that succeeds at the lowest
-// feasible II, bit-identical at every Parallelism including the serial
-// schedule; see the package comment for the argument. An invalid
-// Backends subset panics — callers validate user input at their
-// boundary with Canonical.
-func MapCtx(ctx context.Context, g *dfg.Graph, a *arch.CGRA, opt Options) (*mapping.Mapping, stats.Result) {
-	opt = opt.withDefaults()
-	backends, err := resolve(opt.Backends)
+	bs, err := Backends(backends)
 	if err != nil {
-		panic(err.Error())
+		return sweep.Plan{}, err
 	}
-	nb := len(backends)
-
-	res := stats.Result{Mapper: "Portfolio", Kernel: g.Name, Arch: a.Name}
-	res.MII = mapping.MII(g, a)
-	start := time.Now()
-
-	tr := opt.Tracer
-	root := tr.StartSpan(nil, "portfolio.map").
-		WithStr("kernel", g.Name).WithStr("arch", a.Name).WithInt("mii", int64(res.MII)).
-		WithInt("backends", int64(nb))
-	defer root.End()
-	lg := opt.Logger.With("mapper", "portfolio", "kernel", g.Name, "arch", a.Name)
-	lg.Debug("map start", "mii", res.MII, "max_ii", opt.MaxII, "backends", nb, "lane_window", opt.Parallelism)
-	opt.Diag.Begin(g, a, "Portfolio", res.MII)
-	opt.Progress.Publish(diag.Event{Type: "run_start", Mapper: "portfolio",
-		Kernel: g.Name, Arch: a.Name, MII: res.MII})
-
-	// Lane k is backend Order[k%nb] at II = MII + k/nb: II ascending,
-	// priority descending within an II — the total order the commit
-	// contract requires.
-	mii := res.MII
-	nLanes := (opt.MaxII - mii + 1) * nb
-	laneOf := func(k int) (ii int, lane string) {
-		return mii + k/nb, backends[k%nb].Name
-	}
-	tallies := make([]laneTally, nLanes)
-
-	attempt := func(actx context.Context, k int) (laneOut, bool) {
-		ii := mii + k/nb
-		b := backends[k%nb]
-		seed := sweep.SeedForBackend(opt.Seed, b.Name, ii)
-		t0 := time.Now()
-		m, st, ok := b.Attempt(actx, g, a, ii, seed, LaneOptions{
-			TimePerII: opt.TimePerII, Tracer: tr, Logger: opt.Logger,
-			Diag: opt.Diag, Progress: opt.Progress, Lane: b.Name,
-		})
-		tallies[k] = laneTally{
-			launched: true,
-			// Torn down by a rival lane's win, not by the caller.
-			cancelled: actx.Err() != nil && ctx.Err() == nil,
-			elapsedMS: time.Since(t0).Milliseconds(),
-		}
-		return laneOut{m: m, st: st}, ok
-	}
-
-	// The default window is one lane per backend even when that exceeds
-	// GOMAXPROCS: a failing lane waits out its TimePerII deadline with
-	// idle CPU to spare, so racing overlaps those waits where the
-	// serial schedule would pay them back to back. (Measured: on one
-	// core the width-3 race runs the Fig. 6 set ~25% faster than
-	// width 1.)
-	w := opt.Parallelism
-	if w == 0 {
-		w = nb
-	}
-	win, winLane, below, ok := sweep.Run(ctx, 0, nLanes-1, attempt, sweep.Options{
-		Parallelism: w, Tracer: tr, Parent: root, Logger: lg,
-		Progress: opt.Progress, Lane: laneOf,
-	})
-
-	// Merge effort counters in lane order: `below` holds every lane
-	// under the winner ascending, and those lanes are never cancelled
-	// (sweep's contract), so the merged totals are deterministic at any
-	// width. RemapIterations arrives pre-folded per lane (PF* remaps,
-	// SA moves), so a plain sum keeps it meaningful across backends.
-	for _, o := range below {
-		mergeEffort(&res, &o.st)
-	}
-	winnerBackend := ""
-	if ok {
-		mergeEffort(&res, &win.st)
-		res.Success = true
-		res.II, winnerBackend = laneOf(winLane)
-	}
-	res.Duration = time.Since(start)
-	res.Portfolio = buildPortfolioStats(backends, tallies, winLane, winnerBackend, ok)
-
-	if ok {
-		opt.Diag.SetWinner(winnerBackend)
-		opt.Diag.Commit(true, res.II)
-		opt.Progress.Publish(diag.Event{Type: "run_end", II: res.II, Outcome: "ok", Lane: winnerBackend})
-		lg.Info("mapped", "ii", res.II, "mii", res.MII, "winner", winnerBackend,
-			"duration_ms", res.Duration.Milliseconds())
-		root.WithStr("winner", winnerBackend)
-		return win.m, res
-	}
-	opt.Diag.Commit(false, 0)
-	opt.Progress.Publish(diag.Event{Type: "run_end", Outcome: "failed"})
-	lg.Warn("mapping failed", "mii", res.MII, "max_ii", opt.MaxII,
-		"duration_ms", res.Duration.Milliseconds())
-	return nil, res
-}
-
-// mergeEffort folds one lane's effort counters into the run total.
-func mergeEffort(dst *stats.Result, src *stats.Result) {
-	dst.RemapIterations += src.RemapIterations
-	dst.ClusterAmendments += src.ClusterAmendments
-	dst.PlacementsTried += src.PlacementsTried
-	dst.VerifyAttempts += src.VerifyAttempts
-	dst.VerifySuccesses += src.VerifySuccesses
-	dst.RouterExpansions += src.RouterExpansions
-}
-
-// buildPortfolioStats aggregates per-lane tallies into per-backend
-// accounting. WinnerBackend and Won are deterministic; Launched,
-// Cancelled and WastedMS are wall-clock accounting that varies with
-// parallelism width, like Duration.
-func buildPortfolioStats(backends []Backend, tallies []laneTally, winLane int, winner string, ok bool) *stats.PortfolioStats {
-	ps := &stats.PortfolioStats{WinnerBackend: winner}
-	nb := len(backends)
-	per := make([]stats.BackendLanes, nb)
-	for i, b := range backends {
-		per[i].Backend = b.Name
-		if ok && b.Name == winner {
-			per[i].Won = 1
-		}
-	}
-	for k, t := range tallies {
-		if !t.launched {
-			continue
-		}
-		bl := &per[k%nb]
-		bl.Launched++
-		if t.cancelled {
-			bl.Cancelled++
-		}
-		// Wasted = wall-clock whose outcome was discarded: lanes above
-		// the winner when one committed, cancelled lanes otherwise.
-		if (ok && k > winLane) || (!ok && t.cancelled) {
-			bl.WastedMS += t.elapsedMS
-		}
-	}
-	ps.PerBackend = per
-	return ps
-}
-
-// rewireAttempt adapts core.AttemptII to the backend contract.
-func rewireAttempt(ctx context.Context, g *dfg.Graph, a *arch.CGRA, ii int, seed int64, lane LaneOptions) (*mapping.Mapping, stats.Result, bool) {
-	return core.AttemptII(ctx, g, a, ii, seed, core.Options{
-		TimePerII: lane.TimePerII, Tracer: lane.Tracer, Logger: lane.Logger,
-		Diag: lane.Diag, Progress: lane.Progress, Lane: lane.Lane,
-	})
-}
-
-// pathfinderAttempt adapts pathfinder.AttemptII to the backend contract.
-func pathfinderAttempt(ctx context.Context, g *dfg.Graph, a *arch.CGRA, ii int, seed int64, lane LaneOptions) (*mapping.Mapping, stats.Result, bool) {
-	return pathfinder.AttemptII(ctx, g, a, ii, seed, pathfinder.Options{
-		TimePerII: lane.TimePerII, Tracer: lane.Tracer, Logger: lane.Logger,
-		Diag: lane.Diag, Progress: lane.Progress, Lane: lane.Lane,
-	})
-}
-
-// saAttempt adapts sa.AttemptII to the backend contract.
-func saAttempt(ctx context.Context, g *dfg.Graph, a *arch.CGRA, ii int, seed int64, lane LaneOptions) (*mapping.Mapping, stats.Result, bool) {
-	return sa.AttemptII(ctx, g, a, ii, seed, sa.Options{
-		TimePerII: lane.TimePerII, Tracer: lane.Tracer, Logger: lane.Logger,
-		Diag: lane.Diag, Progress: lane.Progress, Lane: lane.Lane,
-	})
+	return sweep.Plan{Name: "portfolio", Stat: "Portfolio", Span: "portfolio.map",
+		Rows: bs, Race: true, Parallelism: laneWidth}, nil
 }

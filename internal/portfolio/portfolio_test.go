@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"rewire/internal/arch"
+	"rewire/internal/dfg"
 	"rewire/internal/kernels"
 	"rewire/internal/mapping"
 	"rewire/internal/stats"
@@ -20,6 +21,16 @@ import (
 // binding wall clock would make any schedule — serial included —
 // timing-dependent. An hour absorbs the race detector's ~20x slowdown.
 const detBudget = time.Hour
+
+// race runs the full portfolio at lane window w under a budget that
+// never binds.
+func race(ctx context.Context, g *dfg.Graph, a *arch.CGRA, seed int64, w int) (*mapping.Mapping, stats.Result) {
+	plan, err := Plan("portfolio", nil, 0, w)
+	if err != nil {
+		panic(err)
+	}
+	return sweep.Drive(ctx, g, a, plan, sweep.RunOptions{Seed: seed, TimePerII: detBudget})
+}
 
 // normalize strips the wall-clock-dependent accounting from a result so
 // the rest can be compared bit-for-bit across parallelism widths:
@@ -64,9 +75,7 @@ func TestPortfolioDeterminismMatrix(t *testing.T) {
 				var ref outcome
 				for i, w := range widths {
 					g := kernels.MustLoad(kernel)
-					m, st := Map(g, a, Options{
-						Seed: seed, TimePerII: detBudget, Parallelism: w,
-					})
+					m, st := race(context.Background(), g, a, seed, w)
 					if !st.Success {
 						t.Fatalf("width %d: portfolio failed (mii %d)", w, st.MII)
 					}
@@ -113,7 +122,7 @@ func TestPortfolioCancellationTeardown(t *testing.T) {
 	a := arch.New4x4(4)
 	run := func(w int) (*mapping.Mapping, stats.Result) {
 		g := kernels.MustLoad("mvt")
-		return Map(g, a, Options{Seed: 7, TimePerII: detBudget, Parallelism: w})
+		return race(context.Background(), g, a, 7, w)
 	}
 	// Warm pools and the scheduler outside the measurement.
 	run(2)
@@ -130,7 +139,7 @@ func TestPortfolioCancellationTeardown(t *testing.T) {
 	if cancelledLanes == 0 {
 		t.Fatal("width-8 run cancelled no lanes; teardown path not exercised")
 	}
-	// Every lane goroutine must be drained before MapCtx returns;
+	// Every lane goroutine must be drained before Drive returns;
 	// allow unrelated runtime goroutines a moment to settle.
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
@@ -159,7 +168,7 @@ func TestPortfolioContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	g := kernels.MustLoad("mvt")
-	m, st := MapCtx(ctx, g, arch.New4x4(4), Options{Seed: 1, TimePerII: detBudget, Parallelism: 4})
+	m, st := race(ctx, g, arch.New4x4(4), 1, 4)
 	if st.Success || m != nil {
 		t.Fatal("cancelled portfolio run reported success")
 	}
@@ -174,7 +183,7 @@ func TestCanonicalBackends(t *testing.T) {
 		want string
 	}{
 		{nil, "rewire,pathfinder,sa"},
-		{[]string{"sa", "rewire"}, "rewire,sa"}, // registry priority, not input order
+		{[]string{"sa", "rewire"}, "rewire,sa"}, // table priority, not input order
 		{[]string{"PF*", "pf", "Pathfinder"}, "pathfinder"},
 		{[]string{"Rewire", "SA", "rewire"}, "rewire,sa"},
 	}
@@ -209,13 +218,13 @@ func TestParseBackends(t *testing.T) {
 // is independent of the others' presence.
 func TestSeedForBackendDistinct(t *testing.T) {
 	seen := map[int64]string{}
-	for _, b := range Order() {
+	for _, b := range table {
 		for ii := 2; ii < 6; ii++ {
-			s := sweep.SeedForBackend(42, b, ii)
+			s := sweep.SeedForBackend(42, b.Name, ii)
 			if prev, dup := seen[s]; dup {
-				t.Fatalf("seed collision between %s@%d and %s", b, ii, prev)
+				t.Fatalf("seed collision between %s@%d and %s", b.Name, ii, prev)
 			}
-			seen[s] = fmt.Sprintf("%s@%d", b, ii)
+			seen[s] = fmt.Sprintf("%s@%d", b.Name, ii)
 		}
 	}
 }

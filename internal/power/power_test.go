@@ -9,12 +9,13 @@ import (
 	"rewire/internal/config"
 	"rewire/internal/kernels"
 	"rewire/internal/pathfinder"
+	"rewire/internal/sweep"
 )
 
 func estimate(t *testing.T, kernel string) *Report {
 	t.Helper()
 	g := kernels.MustLoad(kernel)
-	m, res := pathfinder.Map(g, arch.New4x4(4), pathfinder.Options{Seed: 1, TimePerII: 3 * time.Second, CandidateBeam: 8})
+	m, res := pathfinder.Map(g, arch.New4x4(4), pathfinder.Options{RunOptions: sweep.RunOptions{Seed: 1, TimePerII: 3 * time.Second}, CandidateBeam: 8})
 	if m == nil {
 		t.Fatalf("mapping failed: %v", res)
 	}
@@ -62,7 +63,7 @@ func TestModelWeightsApplied(t *testing.T) {
 	// A custom model with free routing must yield lower energy than one
 	// with expensive routing, on the same configuration.
 	g := kernels.MustLoad("susan")
-	m, res := pathfinder.Map(g, arch.New4x4(4), pathfinder.Options{Seed: 2, TimePerII: 3 * time.Second, CandidateBeam: 8})
+	m, res := pathfinder.Map(g, arch.New4x4(4), pathfinder.Options{RunOptions: sweep.RunOptions{Seed: 2, TimePerII: 3 * time.Second}, CandidateBeam: 8})
 	if m == nil {
 		t.Fatalf("mapping failed: %v", res)
 	}

@@ -22,7 +22,6 @@ import (
 	"rewire/internal/dfg"
 	"rewire/internal/diag"
 	"rewire/internal/mapping"
-	"rewire/internal/obs"
 	"rewire/internal/placer"
 	"rewire/internal/route"
 	"rewire/internal/stats"
@@ -32,12 +31,7 @@ import (
 
 // Options tunes the annealer. Zero values select the defaults.
 type Options struct {
-	// Seed drives all randomness; runs are reproducible per seed.
-	Seed int64
-	// MaxII caps the explored initiation intervals (default 32).
-	MaxII int
-	// TimePerII bounds the wall-clock per II (default 10s).
-	TimePerII time.Duration
+	sweep.RunOptions
 	// Patience is the non-improving move budget per annealing round
 	// (default 100, the paper's stopping rule).
 	Patience int
@@ -51,42 +45,10 @@ type Options struct {
 	// RouteEvery is how often (in moves) a full routing attempt is made
 	// when the placement estimate looks feasible (default 25).
 	RouteEvery int
-	// SweepParallelism is the speculative II-sweep window: how many II
-	// attempts may run concurrently (see internal/sweep and
-	// docs/CONCURRENCY.md). 0 or 1 is the serial sweep. Every per-II
-	// attempt derives its randomness from sweep.SeedForII(Seed, II), so
-	// the committed (II, mapping) is bit-identical at every width.
-	SweepParallelism int
-
-	// Tracer receives phase spans and work counters for the run (see
-	// internal/trace and docs/OBSERVABILITY.md). nil disables tracing at
-	// ~zero hot-path cost.
-	Tracer *trace.Tracer
-	// Logger receives run- and II-level structured log records. nil
-	// disables logging at one pointer check per site, like the tracer.
-	Logger *obs.Logger
-	// Diag accumulates the post-mortem: per-restart routing-attempt
-	// convergence, contested-resource attribution on failed restarts,
-	// the unroutable-edge list. nil disables collection at one pointer
-	// check per site.
-	Diag *diag.Collector
-	// Progress receives coarse progress events (run, II-attempt and
-	// routing-attempt boundaries) for live streaming. nil disables
-	// publishing at one pointer check per site.
-	Progress *diag.Bus
-	// Lane tags this run's diag attempts and progress events with a
-	// portfolio lane label (see internal/portfolio); empty outside
-	// portfolio runs.
-	Lane string
 }
 
 func (o Options) withDefaults() Options {
-	if o.MaxII == 0 {
-		o.MaxII = 32
-	}
-	if o.TimePerII == 0 {
-		o.TimePerII = 10 * time.Second
-	}
+	o.RunOptions = o.RunOptions.WithDefaults()
 	if o.Patience == 0 {
 		o.Patience = 100
 	}
@@ -110,132 +72,70 @@ func Map(g *dfg.Graph, a *arch.CGRA, opt Options) (*mapping.Mapping, stats.Resul
 	return MapCtx(context.Background(), g, a, opt)
 }
 
+// MapCtx is Map with cancellation: ctx aborts the serial II sweep
+// (in-flight attempts unwind within one anneal check interval) and the
+// run reports failure. Wider sweeps go through sweep.Drive with Row.
+func MapCtx(ctx context.Context, g *dfg.Graph, a *arch.CGRA, opt Options) (*mapping.Mapping, stats.Result) {
+	return sweep.Drive(ctx, g, a, sweep.Solo(Row(opt), 1), opt.RunOptions)
+}
+
+// Row is SA's row in the backend table, tuned by opt's SA-specific
+// fields; the run options come from the driver.
+func Row(opt Options) sweep.Backend {
+	return sweep.Backend{Name: "sa", Stat: "SA", Span: "sa.map",
+		Attempt: func(ctx context.Context, g *dfg.Graph, a *arch.CGRA, ii int, seed int64, root *trace.Span, run sweep.RunOptions) (*mapping.Mapping, stats.Result, bool) {
+			o := opt // concurrent lanes share the row
+			o.RunOptions = run
+			return AttemptII(ctx, g, a, ii, seed, root, o)
+		}}
+}
+
 // paceEvery is how many anneal moves pass between real deadline and
 // cancellation checks; see sweep.Pacer. The anneal loop used to call
 // time.Now() per move, which is measurable at millions of moves per II.
 const paceEvery = 32
 
-// iiOut is one II attempt's outcome: the mapping (nil on failure) and
-// the attempt's private effort counters, merged into the run's
-// stats.Result in ascending II order once the sweep commits.
-type iiOut struct {
-	m     *mapping.Mapping
-	st    stats.Result
-	moves int
-}
-
-// MapCtx is Map with cancellation: ctx aborts the II sweep (in-flight
-// attempts unwind within one anneal check interval) and the run reports
-// failure. Options.SweepParallelism > 1 additionally runs that many II
-// attempts speculatively; the committed result is bit-identical to the
-// serial sweep's (see internal/sweep).
-func MapCtx(ctx context.Context, g *dfg.Graph, a *arch.CGRA, opt Options) (*mapping.Mapping, stats.Result) {
+// AttemptII runs exactly one SA II attempt under root with a
+// driver-derived seed: up to Restarts annealing rounds, each from a
+// fresh random initial placement, until one validates or the II's time
+// budget expires. It returns the mapping (nil on failure), the
+// attempt's private effort counters (RemapIterations holds this
+// attempt's move count), and whether the II is feasible. The outcome is
+// a pure function of (g, a, ii, seed, opt).
+func AttemptII(ctx context.Context, g *dfg.Graph, a *arch.CGRA, ii int, seed int64, root *trace.Span, opt Options) (*mapping.Mapping, stats.Result, bool) {
 	opt = opt.withDefaults()
-	res := stats.Result{Mapper: "SA", Kernel: g.Name, Arch: a.Name}
-	res.MII = mapping.MII(g, a)
-	start := time.Now()
-
 	tr := opt.Tracer
 	ctr := newCounters(tr)
-	root := tr.StartSpan(nil, "sa.map").
-		WithStr("kernel", g.Name).WithStr("arch", a.Name).WithInt("mii", int64(res.MII))
-	defer root.End()
-	lg := opt.Logger.With("mapper", "sa", "kernel", g.Name, "arch", a.Name)
-	lg.Debug("map start", "mii", res.MII, "max_ii", opt.MaxII, "sweep_window", opt.SweepParallelism)
-	opt.Diag.Begin(g, a, "SA", res.MII)
-	opt.Progress.Publish(diag.Event{Type: "run_start", Mapper: "sa",
-		Kernel: g.Name, Arch: a.Name, MII: res.MII})
-
-	runner := &iiRunner{g: g, a: a, opt: opt, tr: tr, ctr: ctr, root: root, lg: lg}
-	attempt := func(actx context.Context, ii int) (iiOut, bool) {
-		return runner.attemptII(actx, ii, sweep.SeedForII(opt.Seed, ii))
-	}
-
-	win, winII, below, ok := sweep.Run(ctx, res.MII, opt.MaxII, attempt, sweep.Options{
-		Parallelism: opt.SweepParallelism, Tracer: tr, Parent: root, Logger: lg,
-		Progress: opt.Progress,
-	})
-	totalMoves := 0
-	for _, o := range below {
-		res.PlacementsTried += o.st.PlacementsTried
-		res.RouterExpansions += o.st.RouterExpansions
-		totalMoves += o.moves
-	}
-	iisExplored := len(below)
-	if ok {
-		res.PlacementsTried += win.st.PlacementsTried
-		res.RouterExpansions += win.st.RouterExpansions
-		totalMoves += win.moves
-		iisExplored++
-		res.Success = true
-		res.II = winII
-		res.Duration = time.Since(start)
-		res.RemapIterations = totalMoves / iisExplored
-		opt.Diag.Commit(true, winII)
-		opt.Progress.Publish(diag.Event{Type: "run_end", II: winII, Outcome: "ok"})
-		lg.Info("mapped", "ii", winII, "mii", res.MII,
-			"moves", res.RemapIterations, "duration_ms", res.Duration.Milliseconds())
-		return win.m, res
-	}
-	res.Duration = time.Since(start)
-	if iisExplored > 0 {
-		res.RemapIterations = totalMoves / iisExplored
-	}
-	opt.Diag.Commit(false, 0)
-	opt.Progress.Publish(diag.Event{Type: "run_end", Outcome: "failed"})
-	lg.Warn("mapping failed", "mii", res.MII, "max_ii", opt.MaxII,
-		"duration_ms", res.Duration.Milliseconds())
-	return nil, res
-}
-
-// iiRunner carries the run-scoped state one II attempt needs: the
-// immutable inputs plus the run's instrumentation handles. MapCtx
-// builds one per run; AttemptII builds a root-less one per lane.
-type iiRunner struct {
-	g    *dfg.Graph
-	a    *arch.CGRA
-	opt  Options
-	tr   *trace.Tracer
-	ctr  saCounters
-	root *trace.Span
-	lg   *obs.Logger
-}
-
-// attemptII runs one II attempt with the given seed: up to Restarts
-// annealing rounds, each from a fresh random initial placement, until
-// one validates or the II's time budget expires.
-func (r *iiRunner) attemptII(actx context.Context, ii int, iiSeed int64) (iiOut, bool) {
-	g, a, opt, tr, lg := r.g, r.a, r.opt, r.tr, r.lg
-	var out iiOut
+	var st stats.Result
 	// One rng per II attempt, shared by its restarts in sequence:
 	// the attempt's random stream depends only on the attempt seed.
-	rng := rand.New(rand.NewSource(iiSeed))
-	pace := sweep.NewPacer(actx, time.Now().Add(opt.TimePerII), paceEvery)
-	iiSpan := tr.StartSpan(r.root, "ii").WithInt("ii", int64(ii))
+	rng := rand.New(rand.NewSource(seed))
+	pace := sweep.NewPacer(ctx, time.Now().Add(opt.TimePerII), paceEvery)
+	iiSpan := tr.StartSpan(root, "ii").WithInt("ii", int64(ii))
 	for restart := 0; restart < opt.Restarts && !pace.ExpiredNow(); restart++ {
 		rSpan := tr.StartSpan(iiSpan, "anneal").WithInt("restart", int64(restart))
 		ms := tr.StartSpan(rSpan, "mrrg_build")
-		an := newAnnealer(g, a, ii, rng, &out.st)
+		an := newAnnealer(g, a, ii, rng, &st)
 		ms.End()
-		an.tr, an.span, an.ctr = tr, rSpan, r.ctr
+		an.tr, an.span, an.ctr = tr, rSpan, ctr
 		an.att = opt.Diag.StartLane(ii, restart, opt.Lane)
 		an.bus = opt.Progress
 		an.bus.Publish(diag.Event{Type: "attempt_start", II: ii, Attempt: restart, Lane: opt.Lane})
 		an.router.Instrument(tr)
 		ok := an.run(opt, pace)
-		out.moves += an.moves
-		r.ctr.moves.Add(int64(an.moves))
+		st.RemapIterations += an.moves
+		ctr.moves.Add(int64(an.moves))
 		// Each restart owns a fresh router; fold its work in win or
 		// lose so RouterExpansions covers the whole search.
-		out.st.RouterExpansions += an.router.Expansions
-		r.ctr.routerExpansions.Add(an.router.Expansions)
+		st.RouterExpansions += an.router.Expansions
+		ctr.routerExpansions.Add(an.router.Expansions)
 		rSpan.WithBool("ok", ok).WithInt("moves", int64(an.moves)).End()
 		an.att.Finish(ok, an.sess)
-		if actx.Err() != nil {
+		if ctx.Err() != nil {
 			an.att.Cancelled()
 		}
 		an.bus.Publish(diag.Event{Type: "attempt_end", II: ii, Attempt: restart,
-			Round: an.moves, Outcome: outcomeWord(ok, actx.Err() != nil), Lane: opt.Lane})
+			Round: an.moves, Outcome: diag.Outcome(ok, ctx.Err() != nil), Lane: opt.Lane})
 		if !ok {
 			an.sess.Close()
 			continue
@@ -244,52 +144,15 @@ func (r *iiRunner) attemptII(actx context.Context, ii int, iiSeed int64) (iiOut,
 			panic("sa: produced invalid mapping: " + err.Error())
 		}
 		iiSpan.WithBool("ok", true).End()
-		out.m = an.sess.M
+		out := an.sess.M
 		an.sess.Close()
-		return out, true
+		return out, st, true
 	}
 	iiSpan.WithBool("ok", false).End()
-	if lg.On() {
-		lg.Debug("ii exhausted", "ii", ii)
+	if lg := opt.Logger; lg.On() {
+		lg.Debug("ii exhausted", "mapper", "sa", "kernel", g.Name, "arch", a.Name, "ii", ii)
 	}
-	return out, false
-}
-
-// AttemptII runs exactly one SA II attempt with an externally derived
-// seed and returns the mapping (nil on failure), the attempt's private
-// effort counters (RemapIterations holds this attempt's move count),
-// and whether the II is feasible. It is the portfolio lane entry point
-// (see internal/portfolio): the caller owns the run lifecycle — diag
-// Begin/Commit, run_start/run_end events, MII — while AttemptII emits
-// only per-attempt instrumentation, tagged with opt.Lane when set.
-// Determinism matches MapCtx: the outcome is a pure function of
-// (g, a, ii, seed, opt).
-func AttemptII(ctx context.Context, g *dfg.Graph, a *arch.CGRA, ii int, seed int64, opt Options) (*mapping.Mapping, stats.Result, bool) {
-	opt = opt.withDefaults()
-	tr := opt.Tracer
-	r := &iiRunner{
-		g: g, a: a, opt: opt, tr: tr, ctr: newCounters(tr),
-		lg: opt.Logger.With("mapper", "sa", "kernel", g.Name, "arch", a.Name),
-	}
-	out, ok := r.attemptII(ctx, ii, seed)
-	st := out.st
-	st.Mapper = "SA"
-	st.Kernel = g.Name
-	st.Arch = a.Name
-	st.RemapIterations = out.moves
-	return out.m, st, ok
-}
-
-// outcomeWord is the progress-event outcome label for one attempt.
-func outcomeWord(ok, cancelled bool) string {
-	switch {
-	case ok:
-		return "ok"
-	case cancelled:
-		return "cancelled"
-	default:
-		return "failed"
-	}
+	return nil, st, false
 }
 
 type annealer struct {

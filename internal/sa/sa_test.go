@@ -8,6 +8,7 @@ import (
 	"rewire/internal/dfg"
 	"rewire/internal/kernels"
 	"rewire/internal/mapping"
+	"rewire/internal/sweep"
 )
 
 func tinyChain() *dfg.Graph {
@@ -21,7 +22,7 @@ func tinyChain() *dfg.Graph {
 }
 
 func TestMapTinyChain(t *testing.T) {
-	m, res := Map(tinyChain(), arch.New4x4(4), Options{Seed: 1, TimePerII: 2 * time.Second})
+	m, res := Map(tinyChain(), arch.New4x4(4), Options{RunOptions: sweep.RunOptions{Seed: 1, TimePerII: 2 * time.Second}})
 	if m == nil || !res.Success {
 		t.Fatalf("failed: %v", res)
 	}
@@ -36,8 +37,8 @@ func TestMapTinyChain(t *testing.T) {
 func TestDeterministicPerSeed(t *testing.T) {
 	g := kernels.MustLoad("gesummv")
 	a := arch.New4x4(4)
-	_, r1 := Map(g, a, Options{Seed: 9, TimePerII: 2 * time.Second})
-	_, r2 := Map(g, a, Options{Seed: 9, TimePerII: 2 * time.Second})
+	_, r1 := Map(g, a, Options{RunOptions: sweep.RunOptions{Seed: 9, TimePerII: 2 * time.Second}})
+	_, r2 := Map(g, a, Options{RunOptions: sweep.RunOptions{Seed: 9, TimePerII: 2 * time.Second}})
 	if r1.II != r2.II || r1.RemapIterations != r2.RemapIterations {
 		t.Fatalf("same seed diverged: %v vs %v", r1, r2)
 	}
@@ -45,7 +46,7 @@ func TestDeterministicPerSeed(t *testing.T) {
 
 func TestMoveCountsAsRemapIterations(t *testing.T) {
 	g := kernels.MustLoad("mvt")
-	_, res := Map(g, arch.New4x4(4), Options{Seed: 1, TimePerII: 2 * time.Second})
+	_, res := Map(g, arch.New4x4(4), Options{RunOptions: sweep.RunOptions{Seed: 1, TimePerII: 2 * time.Second}})
 	if res.Success && res.RemapIterations <= 0 {
 		t.Fatalf("iterations = %d; SA must count its moves", res.RemapIterations)
 	}
@@ -89,7 +90,7 @@ func TestRouteAllRollsBackOnFailure(t *testing.T) {
 func TestFailsGracefullyWhenImpossible(t *testing.T) {
 	// crc needs II >= 8 (recurrence); MaxII 3 must fail and report it.
 	g := kernels.MustLoad("crc")
-	m, res := Map(g, arch.New4x4(4), Options{Seed: 1, MaxII: 3, TimePerII: time.Second})
+	m, res := Map(g, arch.New4x4(4), Options{RunOptions: sweep.RunOptions{Seed: 1, MaxII: 3, TimePerII: time.Second}})
 	if m != nil || res.Success {
 		t.Fatal("expected failure")
 	}

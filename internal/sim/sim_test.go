@@ -15,12 +15,13 @@ import (
 	"rewire/internal/kernels"
 	"rewire/internal/pathfinder"
 	"rewire/internal/sa"
+	"rewire/internal/sweep"
 )
 
 // mapAndConfig maps a DFG with PF* (fast beam) and generates its config.
 func mapAndConfig(t *testing.T, g *dfg.Graph, a *arch.CGRA) *config.Config {
 	t.Helper()
-	m, res := pathfinder.Map(g, a, pathfinder.Options{Seed: 1, TimePerII: 3 * time.Second, CandidateBeam: 8})
+	m, res := pathfinder.Map(g, a, pathfinder.Options{RunOptions: sweep.RunOptions{Seed: 1, TimePerII: 3 * time.Second}, CandidateBeam: 8})
 	if m == nil {
 		t.Fatalf("mapping failed: %v", res)
 	}
@@ -113,7 +114,7 @@ func TestVerifyRepresentativeKernelsAllMappers(t *testing.T) {
 			t.Errorf("%s via PF*: %v", name, err)
 		}
 		// Rewire.
-		if m, res := core.Map(g, a, core.Options{Seed: 1, TimePerII: 2 * time.Second}); m != nil {
+		if m, res := core.Map(g, a, core.Options{RunOptions: sweep.RunOptions{Seed: 1, TimePerII: 2 * time.Second}}); m != nil {
 			cfg, err := config.Generate(m)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
@@ -125,7 +126,7 @@ func TestVerifyRepresentativeKernelsAllMappers(t *testing.T) {
 			t.Logf("%s: Rewire found no mapping in budget (%v)", name, res)
 		}
 		// SA.
-		if m, _ := sa.Map(g, a, sa.Options{Seed: 1, TimePerII: 2 * time.Second}); m != nil {
+		if m, _ := sa.Map(g, a, sa.Options{RunOptions: sweep.RunOptions{Seed: 1, TimePerII: 2 * time.Second}}); m != nil {
 			cfg, err := config.Generate(m)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
@@ -204,7 +205,7 @@ func TestPropRandomKernelsVerify(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		src := randomKernel(rng)
 		g := fromIR(t, src)
-		m, res := pathfinder.Map(g, a, pathfinder.Options{Seed: int64(trial), TimePerII: 2 * time.Second, CandidateBeam: 8})
+		m, res := pathfinder.Map(g, a, pathfinder.Options{RunOptions: sweep.RunOptions{Seed: int64(trial), TimePerII: 2 * time.Second}, CandidateBeam: 8})
 		if m == nil {
 			t.Logf("trial %d: unmappable (%v)\n%s", trial, res, src)
 			continue

@@ -7,6 +7,7 @@ import (
 	"rewire/internal/arch"
 	"rewire/internal/config"
 	"rewire/internal/pathfinder"
+	"rewire/internal/sweep"
 )
 
 // TestVerifyOnTorus runs the full pipeline on a wrap-around fabric: the
@@ -24,7 +25,7 @@ out[i] = s
 d = t >> 1
 out2[i] = d
 `)
-	m, res := pathfinder.Map(g, a, pathfinder.Options{Seed: 3, TimePerII: 3 * time.Second, CandidateBeam: 8})
+	m, res := pathfinder.Map(g, a, pathfinder.Options{RunOptions: sweep.RunOptions{Seed: 3, TimePerII: 3 * time.Second}, CandidateBeam: 8})
 	if m == nil {
 		t.Fatalf("mapping failed on torus: %v", res)
 	}
@@ -50,7 +51,7 @@ kernel wrap
 t = a[i] + b[i]
 out[i] = t
 `)
-	m, res := pathfinder.Map(g, a, pathfinder.Options{Seed: 1, TimePerII: 3 * time.Second})
+	m, res := pathfinder.Map(g, a, pathfinder.Options{RunOptions: sweep.RunOptions{Seed: 1, TimePerII: 3 * time.Second}})
 	if m == nil {
 		t.Fatalf("mapping failed on torus: %v", res)
 	}

@@ -27,6 +27,12 @@ type Result struct {
 
 	// RemapIterations counts single-node remapping iterations for PF* and
 	// SA (each iteration unmaps one node), matching Table I of the paper.
+	// Its aggregation follows the run kind, which the caller picks (a
+	// single mapper or the portfolio), never an option value: a
+	// single-mapper run reports the mean per explored II (integer
+	// division over the IIs at and below the commit), a portfolio run
+	// the sum over its lanes (PF* remaps plus SA moves). Every other
+	// effort counter below is summed over the explored attempts in both.
 	RemapIterations int
 	// ClusterAmendments counts Rewire's multi-node amendment rounds (one
 	// per cluster mapped in one shot); Rewire's analogue of remapping.
@@ -46,7 +52,7 @@ type Result struct {
 	Duration time.Duration
 
 	// Portfolio is the per-backend lane accounting of a portfolio run;
-	// nil for single-mapper runs.
+	// nil for single-mapper runs (whatever their width).
 	Portfolio *PortfolioStats
 }
 

@@ -1,6 +1,7 @@
 package sweep_test
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"rewire/internal/pathfinder"
 	"rewire/internal/sa"
 	"rewire/internal/stats"
+	"rewire/internal/sweep"
 )
 
 // The speculative sweep's contract: with the same seed, a width-W sweep
@@ -29,18 +31,19 @@ const detBudget = time.Hour
 func runBoth(t *testing.T, mapper string, kernel string, seed int64) (s, p *mapping.Mapping, sr, pr stats.Result) {
 	t.Helper()
 	a := arch.New4x4(4)
+	rows := map[string]sweep.Backend{
+		"Rewire": core.Row(core.Options{}),
+		"PF*":    pathfinder.Row(pathfinder.Options{}),
+		"SA":     sa.Row(sa.Options{}),
+	}
+	row, ok := rows[mapper]
+	if !ok {
+		t.Fatalf("unknown mapper %q", mapper)
+	}
 	run := func(window int) (*mapping.Mapping, stats.Result) {
 		g := kernels.MustLoad(kernel)
-		switch mapper {
-		case "Rewire":
-			return core.Map(g, a, core.Options{Seed: seed, TimePerII: detBudget, SweepParallelism: window})
-		case "PF*":
-			return pathfinder.Map(g, a, pathfinder.Options{Seed: seed, TimePerII: detBudget, SweepParallelism: window})
-		case "SA":
-			return sa.Map(g, a, sa.Options{Seed: seed, TimePerII: detBudget, SweepParallelism: window})
-		}
-		t.Fatalf("unknown mapper %q", mapper)
-		return nil, stats.Result{}
+		return sweep.Drive(context.Background(), g, a, sweep.Solo(row, window),
+			sweep.RunOptions{Seed: seed, TimePerII: detBudget})
 	}
 	s, sr = run(1)
 	p, pr = run(4)
@@ -107,14 +110,14 @@ func TestSpeculativeSweepMatchesSerial(t *testing.T) {
 func TestSweepSeedDerivationIsPerII(t *testing.T) {
 	g := kernels.MustLoad("mvt")
 	a := arch.New4x4(4)
-	m1, r1 := pathfinder.Map(g, a, pathfinder.Options{Seed: 3, TimePerII: detBudget})
+	m1, r1 := pathfinder.Map(g, a, pathfinder.Options{RunOptions: sweep.RunOptions{Seed: 3, TimePerII: detBudget}})
 	if m1 == nil {
 		t.Skip("mvt did not map at the default budget")
 	}
 	// Start the sweep directly at the committed II: the attempt there must
 	// reproduce the same mapping even though the failed lower IIs never ran.
 	g2 := kernels.MustLoad("mvt")
-	m2, r2 := pathfinder.Map(g2, a, pathfinder.Options{Seed: 3, TimePerII: detBudget, MaxII: r1.II})
+	m2, r2 := pathfinder.Map(g2, a, pathfinder.Options{RunOptions: sweep.RunOptions{Seed: 3, TimePerII: detBudget, MaxII: r1.II}})
 	if m2 == nil || r2.II != r1.II {
 		t.Fatalf("re-run at MaxII=%d failed (II %d)", r1.II, r2.II)
 	}

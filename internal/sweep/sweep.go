@@ -1,5 +1,8 @@
-// Package sweep implements the speculative initiation-interval sweep
-// engine shared by the three mappers (Rewire, PF*, SA). An II sweep
+// Package sweep implements the one mapper driver (Drive) and the
+// speculative initiation-interval sweep engine (Run) it wraps. Drive
+// owns the run lifecycle of every mapper — Rewire, PF*, SA and the
+// portfolio — over rows of a static backend table; a single mapper is
+// a one-row run, the portfolio the same call with racing on. An II sweep
 // explores II = MII, MII+1, ... until one II admits a valid mapping;
 // the attempts are independent until one succeeds, so a bounded window
 // of them may run concurrently. The engine launches up to Parallelism
@@ -56,10 +59,10 @@ type Options struct {
 	Progress *diag.Bus
 	// Lane maps an attempt index onto the (II, lane label) it stands
 	// for. The engine sweeps a contiguous index range and by default an
-	// index is its own II with an empty lane label; portfolio racing
-	// flattens (II, backend) pairs onto indices and installs Lane so
-	// spans and progress events report the real II and the backend
-	// label instead of the raw index. nil is the identity.
+	// index is its own II with an empty lane label; Drive flattens (II,
+	// backend) pairs onto indices and installs Lane so spans and progress
+	// events report the real II and, when racing, the backend label
+	// instead of the raw index. nil is the identity.
 	Lane func(i int) (ii int, lane string)
 }
 
@@ -97,15 +100,17 @@ func Run[R any](ctx context.Context, lo, hi int, attempt Attempt[R], opt Options
 	specCtr := tr.Counter("sweep.speculative")
 	cancelCtr := tr.Counter("sweep.cancelled")
 	wastedCtr := tr.Counter("sweep.wasted_ms")
-	sweepSpan := tr.StartSpan(opt.Parent, "sweep").
-		WithInt("lo", int64(lo)).WithInt("hi", int64(hi)).WithInt("window", int64(w))
-	lg := opt.Logger
 	laneOf := func(i int) (int, string) {
 		if opt.Lane != nil {
 			return opt.Lane(i)
 		}
 		return i, ""
 	}
+	loII, _ := laneOf(lo)
+	hiII, _ := laneOf(hi)
+	sweepSpan := tr.StartSpan(opt.Parent, "sweep").
+		WithInt("lo", int64(loII)).WithInt("hi", int64(hiII)).WithInt("window", int64(w))
+	lg := opt.Logger
 
 	results := make(chan *slot[R])
 	pending := map[int]*slot[R]{} // launched, result not yet received
@@ -215,14 +220,8 @@ func Run[R any](ctx context.Context, lo, hi int, attempt Attempt[R], opt Options
 		delete(pending, s.ii)
 		done[s.ii] = s
 		eventII, lane := laneOf(s.ii)
-		switch {
-		case s.ok:
-			opt.Progress.Publish(diag.Event{Type: "ii_end", II: eventII, Lane: lane, Outcome: "ok"})
-		case s.cancelSent:
-			opt.Progress.Publish(diag.Event{Type: "ii_end", II: eventII, Lane: lane, Outcome: "cancelled"})
-		default:
-			opt.Progress.Publish(diag.Event{Type: "ii_end", II: eventII, Lane: lane, Outcome: "failed"})
-		}
+		opt.Progress.Publish(diag.Event{Type: "ii_end", II: eventII, Lane: lane,
+			Outcome: diag.Outcome(s.ok, s.cancelSent)})
 		if s.ok && s.ii < lowestOK {
 			lowestOK = s.ii
 			// Attempts above a feasible II are moot; attempts at or below

@@ -36,13 +36,12 @@ import (
 	"rewire/internal/kernels"
 	"rewire/internal/mapping"
 	"rewire/internal/obs"
-	"rewire/internal/pathfinder"
 	"rewire/internal/portfolio"
 	"rewire/internal/power"
 	"rewire/internal/resultcache"
-	"rewire/internal/sa"
 	"rewire/internal/sim"
 	"rewire/internal/stats"
+	"rewire/internal/sweep"
 	"rewire/internal/trace"
 	"rewire/internal/viz"
 )
@@ -144,7 +143,7 @@ const (
 	MapperRewire     MapperName = "rewire"
 	MapperPathFinder MapperName = "pathfinder"
 	MapperSA         MapperName = "sa"
-	// MapperPortfolio races the registered backends (Rewire, PF*, SA)
+	// MapperPortfolio races the table's backends (Rewire, PF*, SA)
 	// per II under one shared budget and commits the result of the
 	// highest-priority backend that succeeds at the lowest feasible II
 	// — deterministic at every parallelism width. See
@@ -170,11 +169,11 @@ type Options struct {
 	SweepParallelism int
 	// PortfolioBackends selects which backends MapperPortfolio races
 	// (by canonical name or alias: "rewire", "pathfinder"/"pf"/"pf*",
-	// "sa"). Empty races every registered backend. The subset can
-	// change the committed mapping (a higher-priority backend may win a
-	// tie), so it participates in the cache fingerprint; the order
-	// given here never matters — priority is fixed by the registry.
-	// Ignored by the single mappers.
+	// "sa"). Empty races every backend. The subset can change the
+	// committed mapping (a higher-priority backend may win a tie), so it
+	// participates in the cache fingerprint; the order given here never
+	// matters — priority is fixed by the backend table. Ignored by the
+	// single mappers.
 	PortfolioBackends []string
 	// PortfolioParallelism is the portfolio lane window: how many
 	// (backend, II) lanes race concurrently. 0 defaults to the backend
@@ -355,38 +354,26 @@ func MapCached(ctx context.Context, g *DFG, cgra *CGRA, opt Options) (*Mapping, 
 	return m, res, out, noMappingErr(m, g, cgra, opt, res)
 }
 
-// mapUncached dispatches to the selected mapper. The mapper is already
-// validated.
+// mapUncached runs the selected mapper's plan from the backend table
+// through the one mapper driver. The mapper is already validated.
 func mapUncached(ctx context.Context, g *DFG, cgra *CGRA, opt Options) (*Mapping, Result) {
-	switch opt.Mapper {
-	case MapperPortfolio:
-		return portfolio.MapCtx(ctx, g, cgra, portfolio.Options{
-			Seed: opt.Seed, TimePerII: opt.TimePerII, MaxII: opt.MaxII,
-			Backends: opt.PortfolioBackends, Parallelism: opt.PortfolioParallelism,
-			Tracer: opt.Tracer, Logger: opt.Logger,
-			Diag: opt.Diag, Progress: opt.Progress,
-		})
-	case MapperPathFinder:
-		return pathfinder.MapCtx(ctx, g, cgra, pathfinder.Options{
-			Seed: opt.Seed, TimePerII: opt.TimePerII, MaxII: opt.MaxII,
-			SweepParallelism: opt.SweepParallelism,
-			Tracer:           opt.Tracer, Logger: opt.Logger,
-			Diag: opt.Diag, Progress: opt.Progress,
-		})
-	case MapperSA:
-		return sa.MapCtx(ctx, g, cgra, sa.Options{
-			Seed: opt.Seed, TimePerII: opt.TimePerII, MaxII: opt.MaxII,
-			SweepParallelism: opt.SweepParallelism,
-			Tracer:           opt.Tracer, Logger: opt.Logger,
-			Diag: opt.Diag, Progress: opt.Progress,
-		})
-	default: // MapperRewire or ""
-		return core.MapCtx(ctx, g, cgra, core.Options{
-			Seed: opt.Seed, TimePerII: opt.TimePerII, MaxII: opt.MaxII,
-			SweepParallelism: opt.SweepParallelism,
-			Tracer:           opt.Tracer, Logger: opt.Logger,
-			Diag: opt.Diag, Progress: opt.Progress,
-		})
+	mapper := opt.Mapper
+	if mapper == "" {
+		mapper = MapperRewire
+	}
+	plan, err := portfolio.Plan(string(mapper), opt.PortfolioBackends,
+		opt.SweepParallelism, opt.PortfolioParallelism)
+	if err != nil {
+		panic(err.Error())
+	}
+	return sweep.Drive(ctx, g, cgra, plan, runOptions(opt))
+}
+
+// runOptions is the slice of opt every mapper run shares.
+func runOptions(opt Options) sweep.RunOptions {
+	return sweep.RunOptions{
+		Seed: opt.Seed, TimePerII: opt.TimePerII, MaxII: opt.MaxII,
+		Tracer: opt.Tracer, Logger: opt.Logger, Diag: opt.Diag, Progress: opt.Progress,
 	}
 }
 
@@ -456,11 +443,7 @@ func RenderReportHTML(r *DiagReport) string { return viz.RenderReportHTML(r) }
 // other mappers", §I). The input is left untouched; the repaired copy is
 // returned.
 func Amend(m *Mapping, opt Options) (*Mapping, Result, error) {
-	return core.Amend(m, core.Options{
-		Seed: opt.Seed, TimePerII: opt.TimePerII, MaxII: opt.MaxII,
-		Tracer: opt.Tracer, Logger: opt.Logger,
-		Diag: opt.Diag, Progress: opt.Progress,
-	})
+	return core.Amend(m, core.Options{RunOptions: runOptions(opt)})
 }
 
 // GenerateConfig lowers a valid mapping to the cycle-by-cycle hardware

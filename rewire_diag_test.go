@@ -166,3 +166,56 @@ func TestCachedHitReportMarksCached(t *testing.T) {
 		t.Fatalf("cached hit fabricated %d attempts", len(r.Attempts))
 	}
 }
+
+// TestTraceIsOneTree pins the span-tree rule: every mapper's trace is
+// one tree under the mapper's root span — portfolio lanes included —
+// with every parent ID recorded, and the sweep span's lo/hi bounds are
+// IIs, not lane indices.
+func TestTraceIsOneTree(t *testing.T) {
+	roots := []struct {
+		mapper MapperName
+		root   string
+	}{
+		{MapperRewire, "rewire.map"},
+		{MapperPathFinder, "pf.map"},
+		{MapperSA, "sa.map"},
+		{MapperPortfolio, "portfolio.map"},
+	}
+	for _, c := range roots {
+		t.Run(string(c.mapper), func(t *testing.T) {
+			g, err := LoadKernel("mvt")
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr := NewTracer()
+			_, res, err := Map(g, New4x4(4), Options{Mapper: c.mapper, Seed: 1, TimePerII: time.Hour, MaxII: 8, Tracer: tr})
+			if err != nil {
+				t.Fatal(err)
+			}
+			spans := tr.Spans()
+			ids := map[uint64]bool{}
+			for _, s := range spans {
+				ids[s.ID] = true
+			}
+			var rootNames []string
+			for _, s := range spans {
+				if s.Parent == 0 {
+					rootNames = append(rootNames, s.Name)
+				} else if !ids[s.Parent] {
+					t.Errorf("span %q names parent %d, which was never recorded", s.Name, s.Parent)
+				}
+				if s.Name != "sweep" {
+					continue
+				}
+				for _, a := range s.Attrs {
+					if (a.Key == "lo" && a.Int != int64(res.MII)) || (a.Key == "hi" && a.Int != 8) {
+						t.Errorf("sweep span %s = %d, want II bounds [%d, 8]", a.Key, a.Int, res.MII)
+					}
+				}
+			}
+			if len(rootNames) != 1 || rootNames[0] != c.root {
+				t.Fatalf("root spans = %v, want exactly [%s]", rootNames, c.root)
+			}
+		})
+	}
+}

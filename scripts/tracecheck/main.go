@@ -187,14 +187,22 @@ func checkLedgerJSONL(path string, sc *bufio.Scanner) error {
 }
 
 // checkTraceJSONL verifies a structured trace after its meta line:
-// every line is valid JSON and at least one named span follows.
+// every line is valid JSON, at least one named span follows, and the
+// spans form one tree — exactly one parentless span, and every parent
+// ID names a span of the same stream. A second root means some phase
+// lost its parent (and renders as an unrelated track in Perfetto).
 func checkTraceJSONL(path string, sc *bufio.Scanner) error {
 	line, spans := 1, 0
+	ids := map[uint64]bool{}
+	parents := map[uint64]int{} // parent ID -> first line naming it
+	var roots []string
 	for sc.Scan() {
 		line++
 		var rec struct {
-			Type string `json:"type"`
-			Name string `json:"name"`
+			Type   string `json:"type"`
+			Name   string `json:"name"`
+			ID     uint64 `json:"id"`
+			Parent uint64 `json:"parent"`
 		}
 		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
 			return fmt.Errorf("line %d: invalid JSON: %w", line, err)
@@ -204,6 +212,12 @@ func checkTraceJSONL(path string, sc *bufio.Scanner) error {
 				return fmt.Errorf("line %d: span without a name", line)
 			}
 			spans++
+			ids[rec.ID] = true
+			if rec.Parent == 0 {
+				roots = append(roots, rec.Name)
+			} else if _, seen := parents[rec.Parent]; !seen {
+				parents[rec.Parent] = line
+			}
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -211,6 +225,14 @@ func checkTraceJSONL(path string, sc *bufio.Scanner) error {
 	}
 	if spans == 0 {
 		return fmt.Errorf("no span records")
+	}
+	if len(roots) != 1 {
+		return fmt.Errorf("%d parentless spans %v, want one tree", len(roots), roots)
+	}
+	for id, at := range parents {
+		if !ids[id] {
+			return fmt.Errorf("line %d: parent %d was never emitted", at, id)
+		}
 	}
 	fmt.Printf("tracecheck: %s: %d lines, %d spans\n", path, line, spans)
 	return nil
@@ -224,7 +246,10 @@ func checkTraceJSONL(path string, sc *bufio.Scanner) error {
 // present) is the final event. A dropped-oldest stream (meta.dropped >
 // 0) is a tail, so an end without its start is legitimate there.
 func checkProgressJSONL(path string, sc *bufio.Scanner, dropped uint64) error {
-	type attemptKey struct{ ii, attempt int }
+	type attemptKey struct {
+		lane        string
+		ii, attempt int
+	}
 	open := map[attemptKey]bool{}
 	var (
 		line     = 1
@@ -240,6 +265,7 @@ func checkProgressJSONL(path string, sc *bufio.Scanner, dropped uint64) error {
 			Type    string  `json:"type"`
 			II      int     `json:"ii"`
 			Attempt int     `json:"attempt"`
+			Lane    string  `json:"lane"`
 		}
 		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
 			return fmt.Errorf("line %d: invalid JSON: %w", line, err)
@@ -260,7 +286,7 @@ func checkProgressJSONL(path string, sc *bufio.Scanner, dropped uint64) error {
 		if lastType == "run_end" {
 			return fmt.Errorf("line %d: event after run_end", line)
 		}
-		k := attemptKey{ev.II, ev.Attempt}
+		k := attemptKey{ev.Lane, ev.II, ev.Attempt}
 		switch ev.Type {
 		case "attempt_start":
 			if open[k] {
