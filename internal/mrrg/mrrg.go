@@ -80,6 +80,7 @@ type Graph struct {
 	pe     []int32 // owning PE, -1 for banks
 	valid  []bool  // false for boundary links
 	feedPE []int32 // PE whose FU can consume this resource's value next cycle
+	slot   []int32 // Slot(n), tabulated so hot loops index by it without dividing
 
 	// Adjacency is stored CSR-style: one flat arena of edge endpoints per
 	// direction plus per-node offsets, built in two passes (count, then
@@ -108,9 +109,13 @@ func New(cgra *arch.CGRA, ii int) *Graph {
 
 	g.kind = make([]Kind, g.numNodes)
 	g.valid = make([]bool, g.numNodes)
-	peBack := make([]int32, 2*g.numNodes)
+	peBack := make([]int32, 3*g.numNodes)
 	g.pe = peBack[:g.numNodes:g.numNodes]
-	g.feedPE = peBack[g.numNodes:]
+	g.feedPE = peBack[g.numNodes : 2*g.numNodes : 2*g.numNodes]
+	g.slot = peBack[2*g.numNodes:]
+	for n := range g.slot {
+		g.slot[n] = int32(n / ii)
+	}
 
 	g.classify()
 	g.connect()
@@ -121,8 +126,8 @@ func New(cgra *arch.CGRA, ii int) *Graph {
 func (g *Graph) node(slot, t int) Node { return Node(slot*g.II + t) }
 
 // Slot returns the static resource index of n (same resource across all
-// time steps).
-func (g *Graph) Slot(n Node) int { return int(n) / g.II }
+// time steps), in [0, NumSlots()).
+func (g *Graph) Slot(n Node) int { return int(g.slot[n]) }
 
 // Time returns the modulo time step of n.
 func (g *Graph) Time(n Node) int { return int(n) % g.II }
@@ -130,6 +135,9 @@ func (g *Graph) Time(n Node) int { return int(n) % g.II }
 // NumNodes returns the total node count (including invalid boundary
 // links, which have no adjacency).
 func (g *Graph) NumNodes() int { return g.numNodes }
+
+// NumSlots returns the number of static resources: NumNodes() / II.
+func (g *Graph) NumSlots() int { return g.numSlots }
 
 // FU returns the ALU node of pe at modulo time t.
 func (g *Graph) FU(pe, t int) Node { return g.node(pe*g.slotsPerPE, g.wrap(t)) }
@@ -271,10 +279,11 @@ func (g *Graph) classify() {
 }
 
 // connect wires the time-step adjacency into the CSR arenas. All edges
-// go from time t to time (t+1) mod II. The edge set is enumerated twice
-// by forEachEdge — once to count per-node degrees, once to fill the
-// arenas — so per-node successor and predecessor order is exactly the
-// enumeration order, which routing determinism depends on.
+// go from time t to time (t+1) mod II; the router's compact search state
+// relies on this (TestArcsAdvanceOneCycle pins it). The edge set is
+// enumerated twice by forEachEdge — once to count per-node degrees, once
+// to fill the arenas — so per-node successor and predecessor order is
+// exactly the enumeration order, which routing determinism depends on.
 func (g *Graph) connect() {
 	// Counting pass. offs doubles as both offset tables: after the prefix
 	// sum, succOff[n] is the start of node n's successor run (likewise

@@ -248,10 +248,11 @@ func newPerII(g *dfg.Graph, a *arch.CGRA, ii int, rng *rand.Rand, res *stats.Res
 func (p *perII) cost(net mrrg.Net) route.CostFn {
 	st := p.sess.State
 	return func(n mrrg.Node, phase int) (float64, bool) {
-		if !st.Usable(n, net, phase) {
+		ok, shared := st.Admit(n, net, phase)
+		if !ok {
 			return 0, false
 		}
-		if occ, _ := st.Occupant(n); occ == net {
+		if shared {
 			return 0.05, true
 		}
 		return 1 + p.hist[n], true

@@ -38,10 +38,11 @@ type CostFn func(n mrrg.Node, phase int) (cost float64, ok bool)
 // routing regime used by Rewire's verification and by committed routes.
 func StrictCost(st *mrrg.State, net mrrg.Net) CostFn {
 	return func(n mrrg.Node, phase int) (float64, bool) {
-		if !st.Usable(n, net, phase) {
+		ok, shared := st.Admit(n, net, phase)
+		if !ok {
 			return 0, false
 		}
-		if occ, _ := st.Occupant(n); occ == net {
+		if shared {
 			return 0.05, true // sharing an own-net resource is nearly free
 		}
 		return 1, true
@@ -58,21 +59,25 @@ const StrictSharedCost = 0.05
 // each goroutine its own Router (see docs/CONCURRENCY.md). The distance
 // oracle it embeds is immutable and shared between routers.
 //
+// The search state of (resource n, elapsed e) lives in one cell array
+// indexed by (Slot(n), e), not (n, e): every MRRG arc advances the modulo
+// time by one, so within one search e fixes Time(n) and the slot alone
+// names the resource. That makes the scratch II-fold smaller than a
+// dense (node, elapsed) table; NewRouter allocates it up front. Cells are
+// epoch-stamped rather than cleared.
+//
 // The hot path is allocation-free apart from the returned path slice
-// (which callers retain): the search state is epoch-stamped rather than
-// cleared, the priority queue is a concrete-typed heap (no interface
-// boxing), and the retry ban set and duplicate detector are epoch-stamped
-// scratch slices instead of per-call maps.
+// (which callers retain): the queue (see stateQueue) recycles its
+// buffers between calls, and the retry ban set and duplicate detector
+// are epoch-stamped per-node scratch instead of per-call maps.
 type Router struct {
 	g      *mrrg.Graph
 	oracle *dist.Oracle
 	maxLat int
 
-	dist  []float64
-	from  []int32
-	stamp []int32
+	cells []cell
 	epoch int32
-	pq    stateHeap
+	q     stateQueue
 
 	// banStamp/banEpoch implement FindPath's per-call retry ban set;
 	// nodeStamp/nodeEpoch back firstDuplicate. Both are per-node (not
@@ -92,11 +97,14 @@ type Router struct {
 	found *trace.Counter
 }
 
-// maxRetainedPQ bounds the queue capacity a Router keeps between calls.
-// One pathological search can grow the queue to the full state count;
-// trimming afterwards keeps long-lived routers from pinning peak-size
-// buffers.
-const maxRetainedPQ = 4096
+// cell is the search state of one (resource, elapsed) pair: the best
+// cost found so far and the resource it was reached from at elapsed-1.
+// It is valid only while stamp equals the router's epoch.
+type cell struct {
+	dist  float64
+	from  mrrg.Node
+	stamp int32
+}
 
 // NewRouter builds a router for g accepting latencies up to maxLat. A
 // good bound is a few IIs plus the mesh diameter; latencies beyond that
@@ -105,14 +113,11 @@ func NewRouter(g *mrrg.Graph, maxLat int) *Router {
 	if maxLat < 1 {
 		maxLat = 1
 	}
-	n := g.NumNodes() * (maxLat + 1)
 	return &Router{
 		g:         g,
 		oracle:    dist.For(g),
 		maxLat:    maxLat,
-		dist:      make([]float64, n),
-		from:      make([]int32, n),
-		stamp:     make([]int32, n),
+		cells:     make([]cell, g.NumSlots()*(maxLat+1)),
 		banStamp:  make([]int32, g.NumNodes()),
 		nodeStamp: make([]int32, g.NumNodes()),
 	}
@@ -154,77 +159,6 @@ func DefaultMaxLat(rows, cols, ii int) int {
 	return d
 }
 
-// state is one queue entry: cost is the exact cost paid so far (g), f is
-// the queue priority g + h.
-type state struct {
-	node    mrrg.Node
-	elapsed int32
-	cost    float64
-	f       float64
-}
-
-// stateLess is the deterministic queue order: ascending priority f,
-// then deeper states first (on the all-tie plateaus an exact floor
-// produces, this turns the search into a dive straight at the goal),
-// then ascending node id. Two entries comparing equal describe the same
-// state, so pop order — and therefore every returned path — is a pure
-// function of the inputs.
-func stateLess(a, b state) bool {
-	if a.f != b.f {
-		return a.f < b.f
-	}
-	if a.elapsed != b.elapsed {
-		return a.elapsed > b.elapsed
-	}
-	return a.node < b.node
-}
-
-// stateHeap is a concrete-typed binary min-heap ordered by stateLess. It
-// reproduces container/heap's sift order exactly (strict-less child
-// promotion) so pop order is well defined, without the per-push
-// interface{} allocation.
-type stateHeap []state
-
-func (r *Router) pushState(s state) {
-	h := append(r.pq, s)
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !stateLess(h[i], h[p]) {
-			break
-		}
-		h[i], h[p] = h[p], h[i]
-		i = p
-	}
-	r.pq = h
-}
-
-func (r *Router) popState() state {
-	h := r.pq
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h = h[:n]
-	i := 0
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		m := l
-		if rt := l + 1; rt < n && stateLess(h[rt], h[l]) {
-			m = rt
-		}
-		if !stateLess(h[m], h[i]) {
-			break
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
-	}
-	r.pq = h
-	return top
-}
-
 // bumpEpoch advances an epoch counter, clearing its stamp slice on the
 // (astronomically rare) int32 wrap so stale stamps can never alias a
 // fresh epoch.
@@ -239,8 +173,32 @@ func bumpEpoch(e *int32, stamps []int32) int32 {
 	return *e
 }
 
-// sidx flattens a (node, elapsed) search state into the scratch arrays.
-func (r *Router) sidx(n mrrg.Node, e int) int { return int(n)*(r.maxLat+1) + e }
+// cell returns the search state of resource n at elapsed e. Within one
+// search every state reached has Time(n) = (Time(src)+e) mod II, so
+// (Slot(n), e) names it uniquely.
+func (r *Router) cell(n mrrg.Node, e int) *cell {
+	return &r.cells[r.g.Slot(n)*(r.maxLat+1)+e]
+}
+
+// nextEpoch starts a search by invalidating every cell in O(1), clearing
+// the stamps on the (astronomically rare) int32 wrap.
+func (r *Router) nextEpoch() int32 {
+	if r.epoch == math.MaxInt32 {
+		for i := range r.cells {
+			r.cells[i].stamp = 0
+		}
+		r.epoch = 0
+	}
+	r.epoch++
+	return r.epoch
+}
+
+// key packs a state for the queue so that ascending key is the state
+// order (queue.go) within one priority: deeper states first, then
+// ascending node.
+func (r *Router) key(n mrrg.Node, e int) uint64 {
+	return uint64(r.maxLat-e)<<32 | uint64(uint32(n))
+}
 
 // FindPath returns the minimum-cost chain of lat-1 routing resources
 // carrying a value from the FU node src (where the producer executes) to
@@ -252,7 +210,9 @@ func (r *Router) sidx(n mrrg.Node, e int) int { return int(n)*(r.maxLat+1) + e }
 // feeds the A* heuristic. An exact floor (the true minimum step cost)
 // collapses the whole feasible cone into one priority plateau, which the
 // deterministic deeper-first tie-break then crosses in about lat
-// expansions; a smaller bound is still correct, merely less informed,
+// expansions when every admitted step costs exactly the floor (at the
+// own-net sharing floor, unit-cost steps split the plateau and searches
+// take many more); a smaller bound is still correct, merely less informed,
 // and 0 degenerates to plain Dijkstra ordering. Since every exact-
 // latency completion from elapsed e takes exactly lat-e further steps of
 // which only the final FU entry is free, h = (lat-1-e)*floor never
@@ -272,14 +232,7 @@ func (r *Router) FindPath(src, dst mrrg.Node, lat int, cost CostFn, floor float6
 	if floor < 0 {
 		floor = 0
 	}
-	defer func() {
-		// Keep the steady-state buffer: dropping to nil here would make
-		// the next call regrow the queue from zero through O(log n)
-		// reallocations.
-		if cap(r.pq) > maxRetainedPQ {
-			r.pq = make(stateHeap, 0, maxRetainedPQ)
-		}
-	}()
+	defer r.q.trim()
 	ban := bumpEpoch(&r.banEpoch, r.banStamp)
 	for attempt := 0; attempt < 3; attempt++ {
 		p, found := r.findOnce(src, dst, lat, cost, floor, ban)
@@ -297,7 +250,7 @@ func (r *Router) FindPath(src, dst mrrg.Node, lat int, cost CostFn, floor float6
 }
 
 func (r *Router) findOnce(src, dst mrrg.Node, lat int, cost CostFn, floor float64, ban int32) ([]mrrg.Node, bool) {
-	bumpEpoch(&r.epoch, r.stamp)
+	epoch := r.nextEpoch()
 	dstPE := r.g.PE(dst)
 	// drow[p] is the exact minimum number of mesh links from PE p to the
 	// destination PE (reverse-BFS table, so torus wrap links are counted
@@ -305,7 +258,7 @@ func (r *Router) findOnce(src, dst mrrg.Node, lat int, cost CostFn, floor float6
 	// silently pruned reachable exact-latency states). A value held by
 	// resource n needs drow[FeedsPE(n)]+1 cycles to be inside dst's FU.
 	drow := r.oracle.Row(dstPE)
-	r.pq = r.pq[:0]
+	r.q.reset()
 	if int(drow[r.g.FeedsPE(src)])+1 > lat {
 		return nil, false
 	}
@@ -313,82 +266,75 @@ func (r *Router) findOnce(src, dst mrrg.Node, lat int, cost CostFn, floor float6
 	if lat > 1 {
 		h0 = floor * float64(lat-1)
 	}
-	si := r.sidx(src, 0)
-	r.stamp[si] = r.epoch
-	r.dist[si] = 0
-	r.from[si] = -1
-	r.pushState(state{node: src, elapsed: 0, cost: 0, f: h0})
+	*r.cell(src, 0) = cell{dist: 0, from: mrrg.Invalid, stamp: epoch}
+	r.q.push(h0, r.key(src, 0), 0)
 
-	for len(r.pq) > 0 {
-		cur := r.popState()
+	for !r.q.empty() {
+		k, curCost := r.q.pop()
 		r.Expansions++
-		ci := r.sidx(cur.node, int(cur.elapsed))
-		if cur.cost > r.dist[ci] {
+		node, e := mrrg.Node(uint32(k)), r.maxLat-int(k>>32)
+		if curCost > r.cell(node, e).dist {
 			continue // stale entry
 		}
-		if cur.node == dst && int(cur.elapsed) == lat {
+		if node == dst && e == lat {
 			return r.reconstruct(dst, lat), true
 		}
-		if int(cur.elapsed) >= lat {
+		if e >= lat {
 			continue
 		}
-		nextE := int(cur.elapsed) + 1
+		nextE := e + 1
 		// Remaining cost after reaching elapsed nextE: at least one floor
 		// per step except the final free hop into the destination FU.
 		h := 0.0
 		if rem := lat - 1 - nextE; rem > 0 {
 			h = floor * float64(rem)
 		}
-		for _, nxt := range r.g.Succs(cur.node) {
-			// The final hop must be exactly the destination FU; routing
-			// through other FUs mid-path is allowed (move operations).
+		for _, nxt := range r.g.Succs(node) {
+			// c is the step cost and hn the heuristic at nxt.
+			c, hn := 0.0, h
 			if nextE == lat {
+				// The final hop must be exactly the destination FU;
+				// routing through other FUs mid-path is allowed (move
+				// operations). Entering the consumer FU costs nothing
+				// extra: the consumer's own placement already reserved it.
 				if nxt != dst {
 					continue
 				}
-				// Entering the consumer FU costs nothing extra: the
-				// consumer's own placement already reserved it.
-				r.relax(nxt, nextE, cur, 0, 0)
+				hn = 0
+			} else {
+				if nxt == dst && r.g.Kind(nxt) == mrrg.KindFU {
+					// Passing through the consumer FU before the arrival
+					// cycle would collide with the consumer's reservation.
+					continue
+				}
+				if nextE+int(drow[r.g.FeedsPE(nxt)])+1 > lat || r.banStamp[nxt] == ban {
+					continue
+				}
+				var usable bool
+				if c, usable = cost(nxt, nextE); !usable {
+					continue
+				}
+			}
+			// Relax: record a strictly better cost to (nxt, nextE) and
+			// queue it with priority cost-so-far + heuristic.
+			cl := r.cell(nxt, nextE)
+			nc := curCost + c
+			if cl.stamp == epoch && cl.dist <= nc {
 				continue
 			}
-			if nxt == dst && r.g.Kind(nxt) == mrrg.KindFU {
-				// Passing through the consumer FU before the arrival
-				// cycle would collide with the consumer's reservation.
-				continue
-			}
-			if nextE+int(drow[r.g.FeedsPE(nxt)])+1 > lat || r.banStamp[nxt] == ban {
-				continue
-			}
-			c, usable := cost(nxt, nextE)
-			if !usable {
-				continue
-			}
-			r.relax(nxt, nextE, cur, c, h)
+			*cl = cell{dist: nc, from: node, stamp: epoch}
+			r.q.push(nc+hn, r.key(nxt, nextE), nc)
 		}
 	}
 	return nil, false
 }
 
-// relax records a strictly better cost to (nxt, e) and queues the state
-// with priority cost-so-far + h.
-func (r *Router) relax(nxt mrrg.Node, e int, cur state, c, h float64) {
-	ni := r.sidx(nxt, e)
-	nc := cur.cost + c
-	if r.stamp[ni] == r.epoch && r.dist[ni] <= nc {
-		return
-	}
-	r.stamp[ni] = r.epoch
-	r.dist[ni] = nc
-	r.from[ni] = int32(r.sidx(cur.node, int(cur.elapsed)))
-	r.pushState(state{node: nxt, elapsed: int32(e), cost: nc, f: nc + h})
-}
-
 func (r *Router) reconstruct(dst mrrg.Node, lat int) []mrrg.Node {
 	path := make([]mrrg.Node, lat-1)
-	cur := r.sidx(dst, lat)
-	for e := lat - 1; e >= 1; e-- {
-		cur = int(r.from[cur])
-		path[e-1] = mrrg.Node(cur / (r.maxLat + 1))
+	n := dst
+	for e := lat; e >= 2; e-- {
+		n = r.cell(n, e).from
+		path[e-2] = n
 	}
 	return path
 }

@@ -30,7 +30,7 @@ trap 'rm -f "$raw"' EXIT
 echo "running substrate micro-benchmarks (benchtime $micro_benchtime)..." >&2
 # ./internal/core carries BenchmarkSubAmendScratch (the pooled amendment
 # scratch is package-private, so its benchmark lives with the package).
-go test -run '^$' -bench 'BenchmarkSub|BenchmarkFindPathCongested|BenchmarkMRRGCacheHit|BenchmarkResultCacheHit' -benchmem \
+go test -run '^$' -bench 'BenchmarkSub|BenchmarkFindPathCongested|BenchmarkFindPathShared|BenchmarkMRRGCacheHit|BenchmarkResultCacheHit' -benchmem \
 	-benchtime "$micro_benchtime" -timeout 0 . ./internal/core | tee "$raw" >&2
 
 echo "running Fig6 benchmarks (benchtime $benchtime)..." >&2
