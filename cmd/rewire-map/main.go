@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"rewire"
+	"rewire/internal/arch"
 	"rewire/internal/buildinfo"
 	"rewire/internal/obs"
 )
@@ -93,7 +94,7 @@ func main() {
 		}
 		cgra, err = rewire.ParseArch(string(text))
 	} else {
-		cgra, err = parseArch(*archStr)
+		cgra, err = arch.ParseName(*archStr)
 	}
 	if err != nil {
 		fatalf("%v", err)
@@ -225,26 +226,6 @@ func splitCSV(s string) []string {
 		}
 	}
 	return out
-}
-
-// parseArch accepts "4x4r4"-style names: ROWSxCOLSrREGS. The presets use
-// the paper's memory configuration; other grids get two banks on the
-// left column (and the right column too when wider than four).
-func parseArch(s string) (*rewire.CGRA, error) {
-	var rows, cols, regs int
-	if _, err := fmt.Sscanf(strings.ToLower(s), "%dx%dr%d", &rows, &cols, &regs); err != nil {
-		return nil, fmt.Errorf("bad -arch %q (want e.g. 4x4r4): %v", s, err)
-	}
-	switch {
-	case rows == 4 && cols == 4:
-		return rewire.New4x4(regs), nil
-	case rows == 8 && cols == 8:
-		return rewire.New8x8(regs), nil
-	case cols > 4:
-		return rewire.NewCGRA(s, rows, cols, regs, rows, 0, cols-1), nil
-	default:
-		return rewire.NewCGRA(s, rows, cols, regs, 2, 0), nil
-	}
 }
 
 // writeTrace exports the run's tracer in the requested formats.

@@ -1,15 +1,16 @@
 package main
 
-// The batch and async surfaces of the mapping daemon.
+// The batch and async surfaces of the mapping daemon. Both hand their
+// requests to the one job path (newJob, then run in server.go) that
+// POST /map uses.
 //
 // POST /map/batch takes up to MaxBatch mapping requests in one body,
-// fingerprints every entry up front with the result cache's canonical
-// content address (rewire.CacheKey), and compiles each distinct
-// fingerprint exactly once through the shared worker pool; duplicate
-// entries copy the representative's result (Deduped=true, sharing its
-// run_id and trace). Dedup works with or without the result cache —
-// the fingerprint is pure — but with the cache on, entries already
-// compiled by earlier traffic are hits too.
+// fingerprints every entry with the result cache's canonical content
+// address (rewire.CacheKey), and runs each distinct fingerprint as one
+// job; duplicate entries copy the representative's result
+// (Deduped=true, sharing its run_id and trace). Dedup works with or
+// without the result cache — the fingerprint is pure — but with the
+// cache on, entries already compiled by earlier traffic are hits too.
 //
 // POST /map/submit accepts one request, validates it synchronously
 // (bad requests fail fast with 400), and runs it in the background
@@ -21,14 +22,13 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strings"
 	"sync"
-	"time"
 
 	"rewire"
-	"rewire/internal/obs"
 )
 
 // batchRequest is the POST /map/batch body.
@@ -44,129 +44,66 @@ type batchResponse struct {
 	Deduped int           `json:"deduped"`
 }
 
-// handleBatch serves POST /map/batch.
+// handleBatch serves POST /map/batch: one job per distinct fingerprint,
+// all run concurrently under one RequestTimeout; duplicates copy their
+// representative's answer.
 func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var breq batchRequest
-	if err := json.NewDecoder(r.Body).Decode(&breq); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad JSON body: " + err.Error()})
+	if !s.decode(w, r, &breq, int64(s.cfg.MaxBatch)*maxBodyBytes) {
 		return
 	}
-	if len(breq.Requests) == 0 {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "empty batch: set requests to 1..N mapping requests"})
+	n := len(breq.Requests)
+	switch {
+	case n == 0:
+		s.reject(w, "unknown", errors.New("empty batch: set requests to 1..N mapping requests"))
 		return
-	}
-	if len(breq.Requests) > s.cfg.MaxBatch {
-		writeJSON(w, http.StatusBadRequest,
-			errorResponse{Error: fmt.Sprintf("batch of %d exceeds the server cap of %d entries", len(breq.Requests), s.cfg.MaxBatch)})
+	case n > s.cfg.MaxBatch:
+		s.reject(w, "unknown", fmt.Errorf("batch of %d exceeds the server cap of %d entries", n, s.cfg.MaxBatch))
 		return
 	}
 	s.mBatchReqs.Inc()
-	s.mBatchEntries.Add(int64(len(breq.Requests)))
-
-	// Parse and fingerprint every entry before compiling anything: the
-	// canonical key is what collapses duplicates, and an invalid entry
-	// fails only itself, not the batch.
-	type parsed struct {
-		g      *rewire.DFG
-		cgra   *rewire.CGRA
-		mapper rewire.MapperName
-		key    string
-		err    error
-	}
-	entries := make([]parsed, len(breq.Requests))
-	for i := range breq.Requests {
-		req := &breq.Requests[i]
-		g, cgra, mapper, err := s.parseMapRequest(req)
-		if err != nil {
-			s.mReqs.With(strings.ToLower(req.Mapper), "invalid").Inc()
-			entries[i] = parsed{err: err}
-			continue
-		}
-		entries[i] = parsed{g: g, cgra: cgra, mapper: mapper,
-			key: rewire.CacheKey(g, cgra, rewire.Options{
-				Mapper: mapper, Seed: req.Seed, TimePerII: effectiveTPI(req), MaxII: req.MaxII,
-			})}
-	}
+	s.mBatchEntries.Add(int64(n))
 
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
-
-	// One compile per distinct fingerprint, all through the worker pool
-	// concurrently; results land at their entry's index.
-	results := make([]mapResponse, len(entries))
-	rep := make(map[string]int, len(entries)) // fingerprint -> representative index
+	// An invalid entry fails alone, not the batch; the canonical key
+	// collapses duplicates. Results land at their entry's index.
+	results := make([]mapResponse, n)
+	keys := make([]string, n)      // "" for an invalid entry
+	rep := make(map[string]int, n) // fingerprint -> representative index
 	var wg sync.WaitGroup
-	for i := range entries {
-		e := &entries[i]
-		if e.err != nil {
-			results[i] = mapResponse{Mapper: strings.ToLower(breq.Requests[i].Mapper), Error: e.err.Error()}
+	for i := range breq.Requests {
+		req := &breq.Requests[i]
+		j, err := s.newJob(req, nil)
+		if err != nil {
+			s.mReqs.With(strings.ToLower(req.Mapper), "invalid").Inc()
+			results[i] = mapResponse{Mapper: strings.ToLower(req.Mapper), Error: err.Error()}
 			continue
 		}
-		if _, dup := rep[e.key]; dup {
+		keys[i] = rewire.CacheKey(j.g, j.cgra, j.opts)
+		if _, dup := rep[keys[i]]; dup {
 			continue // filled from the representative after the wait
 		}
-		rep[e.key] = i
+		rep[keys[i]] = i
 		wg.Add(1)
-		go func(i int, e *parsed) {
+		go func() {
 			defer wg.Done()
-			runID := obs.NewRunID()
-			results[i] = s.executeOne(ctx, s.lg.WithRun(runID), runID, &breq.Requests[i], e.g, e.cgra, e.mapper, nil)
-		}(i, e)
+			results[i], _ = s.run(ctx, j)
+		}()
 	}
 	wg.Wait()
 
 	deduped := 0
-	for i := range entries {
-		if entries[i].err != nil {
-			continue
-		}
-		if j := rep[entries[i].key]; j != i {
+	for i, key := range keys {
+		if j, ok := rep[key]; ok && j != i {
 			results[i] = results[j]
 			results[i].Deduped = true
 			deduped++
 		}
 	}
 	s.mBatchDeduped.Add(int64(deduped))
-	s.lg.Info("batch served", "entries", len(breq.Requests), "unique", len(rep), "deduped", deduped)
+	s.lg.Info("batch served", "entries", n, "unique", len(rep), "deduped", deduped)
 	writeJSON(w, http.StatusOK, batchResponse{Results: results, Deduped: deduped})
-}
-
-// executeOne runs one validated mapping request synchronously through
-// the worker pool — admission, cached compile, metrics fold, flight
-// record — and returns its wire answer. ctx bounds both the admission
-// wait and the run. It backs batch entries and async jobs; POST /map
-// keeps its own flow for the detach-on-timeout semantics. bus, when
-// non-nil, receives the run's live progress events (async jobs stream
-// it via GET /map/events/{id}); the caller owns its lifecycle.
-func (s *server) executeOne(ctx context.Context, lg *obs.Logger, runID string, req *mapRequest,
-	g *rewire.DFG, cgra *rewire.CGRA, mapper rewire.MapperName, bus *rewire.ProgressBus) mapResponse {
-	queued := time.Now()
-	s.mQueued.Add(1)
-	select {
-	case s.sem <- struct{}{}:
-		s.mQueued.Add(-1)
-	case <-ctx.Done():
-		s.mQueued.Add(-1)
-		s.mReqs.With(string(mapper), "overload").Inc()
-		lg.Warn("request expired waiting for a worker", "queue_wait_ms", time.Since(queued).Milliseconds())
-		return mapResponse{RunID: runID, Mapper: string(mapper),
-			Error: "no mapping worker became free within the deadline"}
-	}
-	s.mQueueDur.Observe(time.Since(queued).Seconds())
-	s.mInflight.Add(1)
-	defer func() {
-		s.mInflight.Add(-1)
-		<-s.sem
-	}()
-
-	opts := s.buildOpts(req, mapper, lg, bus)
-	lg.Info("mapping request", "mapper", string(mapper), "kernel", g.Name,
-		"arch", cgra.Name, "seed", req.Seed, "time_per_ii_ms", opts.TimePerII.Milliseconds(),
-		"sweep_window", opts.SweepParallelism)
-	m, res, cout, err := rewire.MapCached(ctx, g, cgra, opts)
-	s.mReqs.With(string(mapper), boolOutcome(res.Success)).Inc()
-	rec := s.recordRun(lg, runID, req, opts, g, cgra, res, cout)
-	return buildMapResponse(runID, opts, m, res, rec, cout, err, req.Render)
 }
 
 // submitResponse is the POST /map/submit answer, and the 202 body of
@@ -180,27 +117,21 @@ type submitResponse struct {
 	EventsURL string `json:"events_url,omitempty"`
 }
 
-// handleSubmit serves POST /map/submit: validate now, map later.
+// handleSubmit serves POST /map/submit: validate now, map later. Only
+// async jobs enter the job table, under JobTimeout.
 func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	jobID := obs.NewRunID()
-	lg := s.lg.WithRun(jobID)
-
 	var req mapRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad JSON body: " + err.Error()})
+	if !s.decode(w, r, &req, maxBodyBytes) {
 		return
 	}
-	g, cgra, mapper, err := s.parseMapRequest(&req)
+	j, err := s.newJob(&req, rewire.NewProgressBus(0))
 	if err != nil {
-		s.mReqs.With(strings.ToLower(req.Mapper), "invalid").Inc()
-		lg.Warn("invalid async mapping request", "err", err)
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+		s.reject(w, req.Mapper, err)
 		return
 	}
-	bus := rewire.NewProgressBus(0)
-	if !s.jobs.submit(jobID, bus) {
+	if !s.jobs.submit(j.runID, j.opts.Progress) {
 		s.mJobs.With("rejected").Inc()
-		lg.Warn("job table full; submission rejected")
+		j.lg.Warn("job table full; submission rejected")
 		writeJSON(w, http.StatusServiceUnavailable,
 			errorResponse{Error: fmt.Sprintf("all %d job slots are running; retry later", s.cfg.JobCapacity)})
 		return
@@ -209,21 +140,13 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), s.cfg.JobTimeout)
 		defer cancel()
-		resp := s.executeOne(ctx, lg, jobID, &req, g, cgra, mapper, bus)
-		// Closing the bus is what ends every live SSE stream; late
-		// subscribers still replay the retained tail. The published total
-		// is read before more subscribers can race the counter.
-		published, _ := bus.Stats()
-		bus.Close()
-		s.mDiagProgress.Add(int64(published))
-		s.jobs.complete(jobID, resp)
+		resp, _ := s.run(ctx, j)
+		s.jobs.complete(j.runID, resp)
 		s.mJobs.With("completed").Inc()
-		lg.Info("async job done", "success", resp.Success, "cached", resp.Cached,
-			"progress_events", published)
 	}()
 	writeJSON(w, http.StatusAccepted, submitResponse{
-		JobID: jobID, Status: "running", ResultURL: "/map/result/" + jobID,
-		EventsURL: "/map/events/" + jobID,
+		JobID: j.runID, Status: "running", ResultURL: "/map/result/" + j.runID,
+		EventsURL: "/map/events/" + j.runID,
 	})
 }
 

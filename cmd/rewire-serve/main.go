@@ -11,21 +11,10 @@
 //
 //	rewire-serve -addr :8080 -workers 8 -log-format json
 //
-// Endpoints:
-//
-//	POST /map              map a kernel (JSON in/out; see docs/OBSERVABILITY.md)
-//	POST /map/batch        map up to -max-batch kernels in one call; identical
-//	                       entries are fingerprint-deduplicated (docs/CACHING.md)
-//	POST /map/submit       submit one mapping job asynchronously (202 + job_id)
-//	GET  /map/result/{id}  poll an async job: 202 running, 200 done, 404 evicted
-//	GET  /metrics          Prometheus text exposition (v0.0.4)
-//	GET  /healthz          liveness
-//	GET  /readyz           readiness (200 after kernel warmup)
-//	GET  /qor              QoR ledger aggregates (runs, success rates, best II) as JSON
-//	GET  /qor.html         the QoR dashboard as a self-contained page
-//	GET  /runs             flight recorder: last N run summaries, newest first
-//	GET  /runs/{id}/trace  one recorded run's Chrome trace (Perfetto-loadable)
-//	GET  /debug/pprof/     CPU/heap/goroutine profiles (go tool pprof)
+// The endpoints are listed in the table under "Online telemetry" in
+// docs/OBSERVABILITY.md. POST /map, /map/batch and /map/submit share one
+// job path: each turns its requests into jobs that take a worker slot,
+// run, and are counted and recorded the same way.
 //
 // Repeated identical requests are served from a result-level mapping
 // cache (-result-cache, on by default): a warm hit skips placement and

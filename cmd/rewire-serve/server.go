@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"rewire"
+	"rewire/internal/arch"
 	"rewire/internal/buildinfo"
 	"rewire/internal/dist"
 	"rewire/internal/ledger"
@@ -158,7 +159,7 @@ func newServer(cfg serverConfig, lg *obs.Logger) *server {
 		flight: newFlightRecorder(cfg.FlightSize),
 
 		mReqs: reg.NewCounterVec("rewire_map_requests_total",
-			"POST /map requests by mapper and outcome (ok, failed, invalid, timeout, overload).",
+			"Mapping requests (POST /map, batch entries, async jobs) by mapper and outcome (ok, failed, invalid, timeout, overload, canceled).",
 			"mapper", "outcome"),
 		mInflight: reg.NewGauge("rewire_serve_inflight_requests",
 			"Mapping runs currently executing on the worker pool."),
@@ -334,9 +335,44 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	enc.Encode(v)
 }
 
-// parseMapRequest validates the body against the server's caps and
-// resolves kernel and architecture.
-func (s *server) parseMapRequest(req *mapRequest) (*rewire.DFG, *rewire.CGRA, rewire.MapperName, error) {
+// maxBodyBytes caps one mapping request's JSON body; a batch may carry
+// MaxBatch times as much. Kernel IR and ADL sources run to a few KB.
+const maxBodyBytes = 1 << 20
+
+// decode reads r's JSON body, at most limit bytes, into v. A body it
+// cannot read is rejected, and decode returns false.
+func (s *server) decode(w http.ResponseWriter, r *http.Request, v any, limit int64) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+	if err != nil {
+		s.reject(w, "unknown", fmt.Errorf("bad JSON body: %w", err))
+	}
+	return err == nil
+}
+
+// reject answers 400 to a request the server will not run and counts it
+// as invalid.
+func (s *server) reject(w http.ResponseWriter, mapper string, err error) {
+	s.mReqs.With(strings.ToLower(mapper), "invalid").Inc()
+	s.lg.Warn("invalid mapping request", "err", err)
+	writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+}
+
+// job is one validated mapping request with its run's identity and
+// engine options. Every POST endpoint turns its requests into jobs and
+// hands them to run.
+type job struct {
+	req   *mapRequest
+	g     *rewire.DFG
+	cgra  *rewire.CGRA
+	runID string
+	lg    *obs.Logger
+	opts  rewire.Options
+}
+
+// newJob validates req against the server's caps, resolves kernel and
+// architecture, and prepares the run. bus is an async job's progress
+// stream, nil otherwise.
+func (s *server) newJob(req *mapRequest, bus *rewire.ProgressBus) (*job, error) {
 	var mapper rewire.MapperName
 	switch strings.ToLower(req.Mapper) {
 	case "", "rewire":
@@ -348,27 +384,27 @@ func (s *server) parseMapRequest(req *mapRequest) (*rewire.DFG, *rewire.CGRA, re
 	case "portfolio":
 		mapper = rewire.MapperPortfolio
 	default:
-		return nil, nil, "", fmt.Errorf("unknown mapper %q (want rewire, pathfinder, sa or portfolio)", req.Mapper)
+		return nil, fmt.Errorf("unknown mapper %q (want rewire, pathfinder, sa or portfolio)", req.Mapper)
 	}
 	if mapper != rewire.MapperPortfolio && (req.PortfolioBackends != "" || req.PortfolioParallelism != 0) {
-		return nil, nil, "", fmt.Errorf("portfolio_backends/portfolio_parallelism require mapper \"portfolio\", not %q", req.Mapper)
+		return nil, fmt.Errorf("portfolio_backends/portfolio_parallelism require mapper \"portfolio\", not %q", req.Mapper)
 	}
 	if req.PortfolioParallelism < 0 {
-		return nil, nil, "", fmt.Errorf("portfolio_parallelism %d must be >= 0", req.PortfolioParallelism)
+		return nil, fmt.Errorf("portfolio_parallelism %d must be >= 0", req.PortfolioParallelism)
 	}
 	if mapper == rewire.MapperPortfolio {
 		if _, err := portfolio.Canonical(portfolio.ParseBackends(req.PortfolioBackends)); err != nil {
-			return nil, nil, "", err
+			return nil, err
 		}
 	}
 	if req.MaxII < 0 || req.MaxII > s.cfg.MaxII {
-		return nil, nil, "", fmt.Errorf("max_ii %d out of range (server cap %d)", req.MaxII, s.cfg.MaxII)
+		return nil, fmt.Errorf("max_ii %d out of range (server cap %d)", req.MaxII, s.cfg.MaxII)
 	}
 	if d := time.Duration(req.TimePerII) * time.Millisecond; d < 0 || d > s.cfg.MaxTimePerII {
-		return nil, nil, "", fmt.Errorf("time_per_ii_ms %d out of range (server cap %s)", req.TimePerII, s.cfg.MaxTimePerII)
+		return nil, fmt.Errorf("time_per_ii_ms %d out of range (server cap %s)", req.TimePerII, s.cfg.MaxTimePerII)
 	}
 	if req.SweepParallelism < 0 {
-		return nil, nil, "", fmt.Errorf("sweep_parallelism %d must be >= 0", req.SweepParallelism)
+		return nil, fmt.Errorf("sweep_parallelism %d must be >= 0", req.SweepParallelism)
 	}
 
 	var (
@@ -377,16 +413,16 @@ func (s *server) parseMapRequest(req *mapRequest) (*rewire.DFG, *rewire.CGRA, re
 	)
 	switch {
 	case req.Kernel != "" && req.KernelSrc != "":
-		return nil, nil, "", errors.New("set kernel or kernel_src, not both")
+		return nil, errors.New("set kernel or kernel_src, not both")
 	case req.Kernel != "":
 		g, err = rewire.LoadKernel(req.Kernel)
 	case req.KernelSrc != "":
 		g, err = rewire.ParseKernel(req.KernelSrc, req.Unroll)
 	default:
-		return nil, nil, "", errors.New("missing kernel (bundled name) or kernel_src (kernel IR)")
+		return nil, errors.New("missing kernel (bundled name) or kernel_src (kernel IR)")
 	}
 	if err != nil {
-		return nil, nil, "", err
+		return nil, err
 	}
 
 	var cgra *rewire.CGRA
@@ -394,145 +430,106 @@ func (s *server) parseMapRequest(req *mapRequest) (*rewire.DFG, *rewire.CGRA, re
 	case req.ArchADL != "":
 		cgra, err = rewire.ParseArch(req.ArchADL)
 	case req.Arch != "":
-		cgra, err = parseArchName(req.Arch)
+		cgra, err = arch.ParseName(req.Arch)
 	default:
-		return nil, nil, "", errors.New("missing arch (e.g. \"4x4r4\") or arch_adl")
+		return nil, errors.New("missing arch (e.g. \"4x4r4\") or arch_adl")
 	}
 	if err != nil {
-		return nil, nil, "", err
+		return nil, err
 	}
-	return g, cgra, mapper, nil
-}
-
-// parseArchName accepts "ROWSxCOLSrREGS" names, mirroring rewire-map's
-// -arch flag.
-func parseArchName(sarch string) (*rewire.CGRA, error) {
-	var rows, cols, regs int
-	if _, err := fmt.Sscanf(strings.ToLower(sarch), "%dx%dr%d", &rows, &cols, &regs); err != nil {
-		return nil, fmt.Errorf("bad arch %q (want e.g. 4x4r4): %v", sarch, err)
-	}
-	switch {
-	case rows == 4 && cols == 4:
-		return rewire.New4x4(regs), nil
-	case rows == 8 && cols == 8:
-		return rewire.New8x8(regs), nil
-	case cols > 4:
-		return rewire.NewCGRA(sarch, rows, cols, regs, rows, 0, cols-1), nil
-	default:
-		return rewire.NewCGRA(sarch, rows, cols, regs, 2, 0), nil
-	}
-}
-
-// handleMap serves POST /map: admission through the worker pool, one
-// traced mapping run, metrics fold, flight-recorder entry, JSON answer.
-func (s *server) handleMap(w http.ResponseWriter, r *http.Request) {
 	runID := obs.NewRunID()
 	lg := s.lg.WithRun(runID)
+	return &job{req: req, g: g, cgra: cgra, runID: runID, lg: lg,
+		opts: s.buildOpts(req, mapper, lg, bus)}, nil
+}
 
+// handleMap serves POST /map: one job, answered when its run finishes or
+// when RequestTimeout (queue wait included) cuts it short.
+func (s *server) handleMap(w http.ResponseWriter, r *http.Request) {
 	var req mapRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.mReqs.With("unknown", "invalid").Inc()
-		lg.Warn("bad request body", "err", err)
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad JSON body: " + err.Error()})
+	if !s.decode(w, r, &req, maxBodyBytes) {
 		return
 	}
-	g, cgra, mapper, err := s.parseMapRequest(&req)
+	j, err := s.newJob(&req, nil)
 	if err != nil {
-		s.mReqs.With(strings.ToLower(req.Mapper), "invalid").Inc()
-		lg.Warn("invalid mapping request", "err", err)
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+		s.reject(w, req.Mapper, err)
 		return
+	}
+	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
+	defer cancel()
+	resp, outcome := s.run(ctx, j)
+	switch outcome {
+	case "overload":
+		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: resp.Error})
+	case "timeout":
+		writeJSON(w, http.StatusGatewayTimeout, errorResponse{Error: resp.Error})
+	case "canceled": // the client is gone
+	default:
+		// A valid request whose kernel has no feasible schedule is a
+		// result, not a server error: 200 with success=false.
+		writeJSON(w, http.StatusOK, resp)
+	}
+}
+
+// run takes j through the worker pool under ctx, which bounds the whole
+// job, queue wait included: admission on a slot, the cached compile,
+// the run's bookkeeping and its answer. It returns the answer with the
+// requests_total outcome it counted: ok or failed when ctx is still
+// live once the run has finished, otherwise overload (the deadline
+// passed in the queue), timeout (it passed mid-run) or canceled (the
+// caller went away). A job cut short mid-run answers at once; its run goes on
+// holding the slot until the cancelled sweep has unwound, which takes
+// one mapper inner-loop iteration, and then records itself.
+func (s *server) run(ctx context.Context, j *job) (mapResponse, string) {
+	mapper := string(j.opts.Mapper)
+	count := func(outcome string) string {
+		s.mReqs.With(mapper, outcome).Inc()
+		return outcome
+	}
+	cut := func(onDeadline, msg string) (mapResponse, string) {
+		outcome := onDeadline
+		if !errors.Is(ctx.Err(), context.DeadlineExceeded) {
+			outcome, msg = "canceled", "the request was canceled"
+		}
+		j.lg.Warn("mapping job cut short", "outcome", outcome)
+		return mapResponse{RunID: j.runID, Mapper: mapper, Error: msg}, count(outcome)
 	}
 
-	// Admission: wait for a worker-pool slot, bounded by the request
-	// timeout and the client hanging up.
-	deadline := time.NewTimer(s.cfg.RequestTimeout)
-	defer deadline.Stop()
 	queued := time.Now()
 	s.mQueued.Add(1)
 	select {
 	case s.sem <- struct{}{}:
 		s.mQueued.Add(-1)
-	case <-deadline.C:
+	case <-ctx.Done():
 		s.mQueued.Add(-1)
-		s.mReqs.With(string(mapper), "overload").Inc()
-		lg.Warn("request timed out waiting for a worker", "queue_wait_ms", time.Since(queued).Milliseconds())
-		writeJSON(w, http.StatusServiceUnavailable,
-			errorResponse{Error: "no mapping worker became free in time; retry later"})
-		return
-	case <-r.Context().Done():
-		s.mQueued.Add(-1)
-		s.mReqs.With(string(mapper), "canceled").Inc()
-		return
+		return cut("overload", "no mapping worker became free in time; retry later")
 	}
 	s.mQueueDur.Observe(time.Since(queued).Seconds())
 	s.mInflight.Add(1)
-	// The slot and the inflight gauge are released exactly once, on
-	// whichever path the run actually ends (in time or in the
-	// background after a 504) — no defers, they would double-release.
-	release := func() {
+
+	var resp mapResponse
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		m, res, cout, err := rewire.MapCached(ctx, j.g, j.cgra, j.opts)
+		// Closing the bus ends every live SSE stream; late subscribers
+		// still replay the retained tail.
+		published, _ := j.opts.Progress.Stats()
+		j.opts.Progress.Close()
+		s.mDiagProgress.Add(int64(published))
 		s.mInflight.Add(-1)
 		<-s.sem
-	}
-
-	// Run the mapper on its own goroutine so a budget overrun cannot
-	// hold the HTTP response past the request timeout. The run context
-	// derives from the request: a client disconnect — or an explicit
-	// cancel on the 504 path — tears down the whole II sweep, in-flight
-	// speculative attempts included, within one mapper inner-loop
-	// iteration. The worker slot frees only once the torn-down run has
-	// fully returned, so abandoned runs can neither over-subscribe the
-	// pool nor leave speculative goroutines running against it.
-	opts := s.buildOpts(&req, mapper, lg, nil)
-	lg.Info("mapping request", "mapper", string(mapper), "kernel", g.Name,
-		"arch", cgra.Name, "seed", req.Seed, "time_per_ii_ms", opts.TimePerII.Milliseconds(),
-		"sweep_window", opts.SweepParallelism)
-
-	runCtx, cancelRun := context.WithCancel(r.Context())
-	type outcome struct {
-		m    *rewire.Mapping
-		res  rewire.Result
-		cout rewire.CacheOutcome
-		err  error
-	}
-	done := make(chan outcome, 1)
-	go func() {
-		m, res, cout, err := rewire.MapCached(runCtx, g, cgra, opts)
-		done <- outcome{m: m, res: res, cout: cout, err: err}
+		rec := s.recordRun(j, res, cout)
+		resp = buildMapResponse(j, m, res, rec, cout, err)
 	}()
-
 	select {
-	case out := <-done:
-		cancelRun()
-		release()
-		s.mReqs.With(string(mapper), boolOutcome(out.res.Success)).Inc()
-		s.finishRun(w, lg, runID, &req, opts, g, cgra, out.m, out.res, out.cout, out.err)
-	case <-r.Context().Done():
-		// Client hung up mid-run: tear the sweep down and give the slot
-		// back only after every speculative attempt has unwound.
-		cancelRun()
-		out := <-done
-		release()
-		s.mReqs.With(string(mapper), "canceled").Inc()
-		lg.Warn("client disconnected mid-run; sweep torn down")
-		s.recordRun(lg, runID, &req, opts, g, cgra, out.res, out.cout)
-	case <-deadline.C:
-		s.mReqs.With(string(mapper), "timeout").Inc()
-		lg.Warn("mapping run exceeded the request timeout", "timeout_ms", s.cfg.RequestTimeout.Milliseconds())
-		writeJSON(w, http.StatusGatewayTimeout,
-			errorResponse{Error: fmt.Sprintf("mapping exceeded the %s request timeout", s.cfg.RequestTimeout)})
-		// Cancel, then drain in the background so the torn-down run is
-		// still recorded; its worker slot frees only once the sweep has
-		// fully unwound (fast — cancellation lands within one iteration),
-		// which is what keeps abandoned runs from over-subscribing the
-		// pool or leaking speculative attempts past their request.
-		cancelRun()
-		go func() {
-			out := <-done
-			release()
-			s.recordRun(lg, runID, &req, opts, g, cgra, out.res, out.cout)
-		}()
+	case <-done:
+	case <-ctx.Done():
 	}
+	if ctx.Err() != nil {
+		return cut("timeout", "mapping exceeded its deadline; the run was cancelled")
+	}
+	return resp, count(boolOutcome(resp.Success))
 }
 
 // clampSweep caps a request's speculative II-sweep window so that the
@@ -607,35 +604,23 @@ func effectiveTPI(req *mapRequest) time.Duration {
 	return time.Duration(req.TimePerII) * time.Millisecond
 }
 
-// finishRun records a completed run and writes the success/failure
-// answer.
-func (s *server) finishRun(w http.ResponseWriter, lg *obs.Logger, runID string, req *mapRequest,
-	opts rewire.Options, g *rewire.DFG, cgra *rewire.CGRA,
-	m *rewire.Mapping, res rewire.Result, cout rewire.CacheOutcome, mapErr error) {
-	rec := s.recordRun(lg, runID, req, opts, g, cgra, res, cout)
-	resp := buildMapResponse(runID, opts, m, res, rec, cout, mapErr, req.Render)
-	// A valid request whose kernel has no feasible schedule is a result,
-	// not a server error: 200 with success=false.
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// buildMapResponse renders one finished (or cache-served) run as the
-// wire answer shared by /map, /map/batch entries and async jobs.
-func buildMapResponse(runID string, opts rewire.Options, m *rewire.Mapping, res rewire.Result,
-	rec runRecord, cout rewire.CacheOutcome, mapErr error, render bool) mapResponse {
+// buildMapResponse renders a job's finished (or cache-served) run as
+// its wire answer.
+func buildMapResponse(j *job, m *rewire.Mapping, res rewire.Result,
+	rec runRecord, cout rewire.CacheOutcome, mapErr error) mapResponse {
 	resp := mapResponse{
-		RunID:      runID,
+		RunID:      j.runID,
 		Success:    res.Success,
-		Mapper:     string(opts.Mapper),
+		Mapper:     string(j.opts.Mapper),
 		Kernel:     res.Kernel,
 		Arch:       res.Arch,
 		II:         res.II,
 		MII:        res.MII,
 		DurationMS: float64(res.Duration.Microseconds()) / 1000,
 		Counters:   rec.Counters,
-		TraceURL:   "/runs/" + runID + "/trace",
+		TraceURL:   "/runs/" + j.runID + "/trace",
 		Cached:     cout.Hit,
-		ReportURL:  "/runs/" + runID + "/report",
+		ReportURL:  "/runs/" + j.runID + "/report",
 	}
 	if mapErr != nil {
 		resp.Error = mapErr.Error()
@@ -646,24 +631,18 @@ func buildMapResponse(runID string, opts rewire.Options, m *rewire.Mapping, res 
 	if !res.Success {
 		resp.Report = rec.report.Summary()
 	}
-	if render && m != nil {
+	if j.req.Render && m != nil {
 		resp.Grid = rewire.Render(m)
 	}
 	return resp
 }
 
-// recordRun folds the run's tracer into the metrics registry, files
-// the flight-recorder entry and appends the run to the QoR ledger. It
-// is the single bookkeeping point for every completion path — the
-// on-time answer, the detached post-timeout drain, batch entries and
-// async jobs. g and cgra carry the compiled graph and fabric for the
-// ledger's content fingerprints.
-func (s *server) recordRun(lg *obs.Logger, runID string, req *mapRequest,
-	opts rewire.Options, g *rewire.DFG, cgra *rewire.CGRA,
-	res rewire.Result, cout rewire.CacheOutcome) runRecord {
-	// requests_total is incremented by the caller (exactly once per
-	// request, whatever the outcome label); this method records the
-	// run-quality metrics, which apply on every completion path.
+// recordRun folds a job's finished run into the metrics registry, files
+// the flight-recorder entry and appends the run to the QoR ledger,
+// whether the job was answered in time or cut short. requests_total is
+// counted by run, which alone knows the outcome.
+func (s *server) recordRun(j *job, res rewire.Result, cout rewire.CacheOutcome) runRecord {
+	req, opts := j.req, j.opts
 	mapper := string(opts.Mapper)
 	s.mDur.With(mapper).Observe(res.Duration.Seconds())
 	if res.Success {
@@ -687,7 +666,7 @@ func (s *server) recordRun(lg *obs.Logger, runID string, req *mapRequest,
 	}
 
 	rec := runRecord{
-		ID:         runID,
+		ID:         j.runID,
 		Time:       time.Now().UTC(),
 		Kernel:     res.Kernel,
 		Arch:       res.Arch,
@@ -714,22 +693,20 @@ func (s *server) recordRun(lg *obs.Logger, runID string, req *mapRequest,
 		CompileMS:     float64(res.Duration.Microseconds()) / 1000,
 		WinnerBackend: rec.WinnerBackend,
 	}
-	if g != nil && cgra != nil {
-		fpReq := resultcache.Request{
-			Mapper: mapper, Seed: req.Seed, TimePerII: opts.TimePerII, MaxII: req.MaxII,
-		}
-		if opts.Mapper == rewire.MapperPortfolio {
-			// Canonical already validated in parseMapRequest.
-			fpReq.Backends, _ = portfolio.Canonical(opts.PortfolioBackends)
-		}
-		e.DFGFP, e.ArchFP, e.OptsFP = ledger.Fingerprints(g, cgra, fpReq)
+	fpReq := resultcache.Request{
+		Mapper: mapper, Seed: req.Seed, TimePerII: opts.TimePerII, MaxII: req.MaxII,
 	}
+	if opts.Mapper == rewire.MapperPortfolio {
+		// Canonical already validated in newJob.
+		fpReq.Backends, _ = portfolio.Canonical(opts.PortfolioBackends)
+	}
+	e.DFGFP, e.ArchFP, e.OptsFP = ledger.Fingerprints(j.g, j.cgra, fpReq)
 	e.AttachReport(report)
 	if err := s.led.Append(e); err != nil {
-		lg.Error("ledger append failed", "err", err)
+		j.lg.Error("ledger append failed", "err", err)
 	}
 
-	lg.Info("run recorded", "mapper", mapper, "kernel", res.Kernel, "arch", res.Arch,
+	j.lg.Info("run recorded", "mapper", mapper, "kernel", res.Kernel, "arch", res.Arch,
 		"success", res.Success, "ii", res.II, "mii", res.MII,
 		"duration_ms", res.Duration.Milliseconds())
 	return rec

@@ -501,6 +501,9 @@ func TestMapValidation(t *testing.T) {
 		{"unknown backend", `{"kernel":"mvt","arch":"4x4r4","mapper":"portfolio","portfolio_backends":"rewire,ilp"}`},
 		{"backends without portfolio", `{"kernel":"mvt","arch":"4x4r4","mapper":"rewire","portfolio_backends":"sa"}`},
 		{"negative portfolio window", `{"kernel":"mvt","arch":"4x4r4","mapper":"portfolio","portfolio_parallelism":-1}`},
+		{"empty grid", `{"kernel":"mvt","arch":"0x4r4"}`},
+		{"negative registers", `{"kernel":"mvt","arch":"2x2r-3"}`},
+		{"huge unroll", `{"kernel_src":"kernel k\nc[i] = a[i] + b[i]\n","unroll":1099511627776,"arch":"4x4r4"}`},
 	}
 	for _, tc := range cases {
 		if _, code := postMap(t, ts, tc.body); code != http.StatusBadRequest {
@@ -511,6 +514,71 @@ func TestMapValidation(t *testing.T) {
 	body, _ := get(t, ts.URL+"/metrics")
 	if !strings.Contains(body, `outcome="invalid"`) {
 		t.Error("/metrics has no invalid-outcome samples")
+	}
+	// Hostile input is an error for its request, never the daemon's end.
+	if _, code := get(t, ts.URL+"/healthz"); code != http.StatusOK {
+		t.Fatalf("healthz after hostile requests = %d", code)
+	}
+}
+
+// TestBatchHostileEntry: a batch entry naming an impossible grid fails
+// alone with its error; the batch still answers 200.
+func TestBatchHostileEntry(t *testing.T) {
+	ts := testServer(t, serverConfig{Workers: 1})
+	resp, err := http.Post(ts.URL+"/map/batch", "application/json", strings.NewReader(`{"requests":[
+		{"kernel":"mvt","arch":"0x4r4"},
+		{"kernel":"mvt","arch":"4x4r4","seed":1,"time_per_ii_ms":2000}
+	]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST /map/batch = %d, want 200", resp.StatusCode)
+	}
+	var out batchResponse
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Results) != 2 || out.Results[0].Success || !strings.Contains(out.Results[0].Error, "0x4r4") {
+		t.Fatalf("hostile entry = %+v, want a failure naming its arch", out.Results)
+	}
+	if !out.Results[1].Success {
+		t.Fatalf("valid entry failed beside a hostile one: %+v", out.Results[1])
+	}
+}
+
+// TestInvalidBodiesCounted: every endpoint bounds its body and counts
+// unreadable, over-cap, empty and over-size bodies as invalid requests.
+func TestInvalidBodiesCounted(t *testing.T) {
+	ts := testServer(t, serverConfig{Workers: 1, MaxBatch: 2})
+	// Valid requests padded with whitespace past the endpoint's cap.
+	pad := func(n int, body string) string { return strings.Repeat(" ", n) + body }
+	mapBody := `{"kernel":"mvt","arch":"4x4r4","seed":1,"time_per_ii_ms":2000}`
+	cases := []struct{ path, body string }{
+		{"/map", `{"kernel":`},
+		{"/map", pad(maxBodyBytes, mapBody)},
+		{"/map/submit", `{"kernel":`},
+		{"/map/submit", pad(maxBodyBytes, mapBody)},
+		{"/map/batch", `{"requests":`},
+		{"/map/batch", `{"requests":[]}`},
+		{"/map/batch", `{"requests":[` + mapBody + "," + mapBody + "," + mapBody + `]}`},
+		{"/map/batch", pad(2*maxBodyBytes, `{"requests":[`+mapBody+`]}`)},
+	}
+	for _, tc := range cases {
+		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("POST %s with %.40q: status %d, want 400", tc.path, strings.TrimSpace(tc.body), resp.StatusCode)
+		}
+	}
+	body, _ := get(t, ts.URL+"/metrics")
+	want := fmt.Sprintf(`rewire_map_requests_total{mapper="unknown",outcome="invalid"} %d`, len(cases))
+	if !strings.Contains(body, want) {
+		t.Errorf("/metrics missing %q", want)
 	}
 }
 
@@ -800,4 +868,97 @@ func TestQoREndpoints(t *testing.T) {
 			t.Errorf("/metrics missing %q", want)
 		}
 	}
+}
+
+// waitOutcome polls /metrics until the pathfinder requests_total series
+// for outcome reads want.
+func waitOutcome(t *testing.T, ts *httptest.Server, outcome string, want int) {
+	t.Helper()
+	series := fmt.Sprintf(`rewire_map_requests_total{mapper="pathfinder",outcome=%q} %d`, outcome, want)
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		body, _ := get(t, ts.URL+"/metrics")
+		if strings.Contains(body, series) {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("/metrics never showed %q", series)
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+}
+
+// TestBatchEntryTimeoutCounted: a batch entry cut by RequestTimeout is a
+// timeout, not a failed run; its slot frees once the sweep unwinds.
+func TestBatchEntryTimeoutCounted(t *testing.T) {
+	ts := testServer(t, serverConfig{Workers: 1, RequestTimeout: 400 * time.Millisecond, FlightSize: 8})
+	resp, err := http.Post(ts.URL+"/map/batch", "application/json",
+		strings.NewReader(`{"requests":[`+slowMapBody+`]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out batchResponse
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || len(out.Results) != 1 || out.Results[0].Success || out.Results[0].Error == "" {
+		t.Fatalf("batch = %d %+v, want 200 with one cut-short entry", resp.StatusCode, out)
+	}
+	waitInflightZero(t, ts, 5*time.Second)
+	waitOutcome(t, ts, "timeout", 1)
+	if body, _ := get(t, ts.URL+"/metrics"); strings.Contains(body, `rewire_map_requests_total{mapper="pathfinder",outcome="failed"}`) {
+		t.Error("a batch entry cut by its deadline was counted as failed")
+	}
+}
+
+// TestJobTimeoutCounted: an async job cut by JobTimeout completes with
+// an error, is counted as a timeout, and its run is still recorded once
+// it unwinds.
+func TestJobTimeoutCounted(t *testing.T) {
+	ts := testServer(t, serverConfig{Workers: 1, JobTimeout: 400 * time.Millisecond, FlightSize: 8})
+	sub := submitJob(t, ts.URL, slowMapBody)
+	out := pollResult(t, ts.URL, sub)
+	if out.Success || out.Error == "" || out.RunID != sub.JobID {
+		t.Fatalf("job result = %+v, want a cut-short failure under job id %s", out, sub.JobID)
+	}
+	waitInflightZero(t, ts, 5*time.Second)
+	waitOutcome(t, ts, "timeout", 1)
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if _, code := get(t, ts.URL+"/runs/"+sub.JobID+"/trace"); code == http.StatusOK {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("cut-short job never reached the flight recorder")
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+}
+
+// TestBatchClientDisconnectCounted: a batch whose client hangs up
+// mid-run tears its entries down and counts them as canceled.
+func TestBatchClientDisconnectCounted(t *testing.T) {
+	ts := testServer(t, serverConfig{Workers: 1, RequestTimeout: 60 * time.Second, FlightSize: 8})
+	ctx, cancel := context.WithCancel(context.Background())
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/map/batch",
+		strings.NewReader(`{"requests":[`+slowMapBody+`]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	errc := make(chan error, 1)
+	go func() {
+		resp, err := http.DefaultClient.Do(req)
+		if err == nil {
+			resp.Body.Close()
+		}
+		errc <- err
+	}()
+	time.Sleep(300 * time.Millisecond)
+	cancel()
+	if err := <-errc; err == nil {
+		t.Fatal("cancelled batch unexpectedly completed")
+	}
+	waitInflightZero(t, ts, 5*time.Second)
+	waitOutcome(t, ts, "canceled", 1)
 }

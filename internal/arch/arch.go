@@ -9,7 +9,10 @@
 // placement and routing lives in package mrrg.
 package arch
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // Dir identifies one of the four mesh output directions of a PE.
 type Dir int
@@ -179,6 +182,31 @@ func New4x4(regs int) *CGRA {
 // memory banks, and memory access on the left-most and right-most columns.
 func New8x8(regs int) *CGRA {
 	return New(fmt.Sprintf("8x8r%d", regs), 8, 8, regs, 8, 0, 7)
+}
+
+// ParseName builds the CGRA a "ROWSxCOLSrREGS" name (e.g. "4x4r4")
+// denotes: the 4x4 and 8x8 paper presets; otherwise two banks on the
+// left-most column, or, on a grid wider than four, one bank per row on
+// the left-most and right-most columns. Malformed names, non-positive
+// grids and negative register counts are errors.
+func ParseName(name string) (*CGRA, error) {
+	var rows, cols, regs int
+	if _, err := fmt.Sscanf(strings.ToLower(name), "%dx%dr%d", &rows, &cols, &regs); err != nil {
+		return nil, fmt.Errorf("arch: bad name %q (want ROWSxCOLSrREGS, e.g. 4x4r4): %v", name, err)
+	}
+	if rows <= 0 || cols <= 0 || regs < 0 {
+		return nil, fmt.Errorf("arch: bad name %q: want a positive grid and a non-negative register count", name)
+	}
+	switch {
+	case rows == 4 && cols == 4:
+		return New4x4(regs), nil
+	case rows == 8 && cols == 8:
+		return New8x8(regs), nil
+	case cols > 4:
+		return New(name, rows, cols, regs, rows, 0, cols-1), nil
+	default:
+		return New(name, rows, cols, regs, 2, 0), nil
+	}
 }
 
 // Presets returns the four CGRA configurations used in the paper's

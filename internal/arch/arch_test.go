@@ -1,6 +1,7 @@
 package arch
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -114,6 +115,31 @@ func TestNewPanicsOnBadArgs(t *testing.T) {
 			}()
 			f()
 		}()
+	}
+}
+
+func TestParseName(t *testing.T) {
+	for name, want := range map[string]*CGRA{
+		"4x4r4":  New4x4(4),
+		"4X4R1":  New4x4(1),
+		"8x8r4":  New8x8(4),
+		"6x6r2":  New("6x6r2", 6, 6, 2, 6, 0, 5),
+		"2x3r0":  New("2x3r0", 2, 3, 0, 2, 0),
+		"1x1r8x": New("1x1r8x", 1, 1, 8, 2, 0),
+	} {
+		got, err := ParseName(name)
+		if err != nil {
+			t.Errorf("ParseName(%q): %v", name, err)
+			continue
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("ParseName(%q) = %+v, want %+v", name, got, want)
+		}
+	}
+	for _, bad := range []string{"", "tiny", "4x4", "0x4r4", "4x0r4", "-2x2r1", "2x2r-3", "4x4r-1"} {
+		if _, err := ParseName(bad); err == nil {
+			t.Errorf("ParseName(%q) succeeded, want an error", bad)
+		}
 	}
 }
 

@@ -93,7 +93,7 @@ func ResultsFromJSON(data []byte) (*Results, error) {
 		if a, ok := archs[name]; ok {
 			return a, nil
 		}
-		a, err := archFromName(name)
+		a, err := arch.ParseName(name)
 		if err != nil {
 			return nil, err
 		}
@@ -119,24 +119,4 @@ func ResultsFromJSON(data []byte) (*Results, error) {
 		out.ByRun[runKey(run.Mapper, Combo{Kernel: run.Kernel, Arch: a})] = run.Result
 	}
 	return out, nil
-}
-
-// archFromName rebuilds an architecture from its canonical "RxCrN" name,
-// mirroring the grids rewire-map accepts: the 4x4/8x8 paper presets, and
-// the generic banks-on-the-outer-columns construction otherwise.
-func archFromName(name string) (*arch.CGRA, error) {
-	var rows, cols, regs int
-	if _, err := fmt.Sscanf(strings.ToLower(name), "%dx%dr%d", &rows, &cols, &regs); err != nil {
-		return nil, fmt.Errorf("eval: architecture name %q is not RxCrN: %v", name, err)
-	}
-	switch {
-	case rows == 4 && cols == 4:
-		return arch.New4x4(regs), nil
-	case rows == 8 && cols == 8:
-		return arch.New8x8(regs), nil
-	case cols > 4:
-		return arch.New(name, rows, cols, regs, rows, 0, cols-1), nil
-	default:
-		return arch.New(name, rows, cols, regs, 2, 0), nil
-	}
 }

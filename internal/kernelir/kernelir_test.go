@@ -399,6 +399,17 @@ func TestUnrollRejectsBadFactor(t *testing.T) {
 	if _, err := Unroll(p, 0); err == nil {
 		t.Fatal("expected error for factor 0")
 	}
+	// The statement bound: the largest factor that fits is accepted, one
+	// more is not, and a huge factor fails fast instead of allocating.
+	fit := MaxUnrolledStmts / len(p.Stmts)
+	if u, err := Unroll(p, fit); err != nil || len(u.Stmts) > MaxUnrolledStmts {
+		t.Fatalf("factor %d: err=%v, want an accepted body of at most %d statements", fit, err, MaxUnrolledStmts)
+	}
+	for _, f := range []int{fit + 1, 1 << 40} {
+		if _, err := Unroll(p, f); err == nil {
+			t.Fatalf("factor %d: expected an error past %d statements", f, MaxUnrolledStmts)
+		}
+	}
 }
 
 func TestIndexShiftAndString(t *testing.T) {

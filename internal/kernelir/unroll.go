@@ -5,6 +5,13 @@ import (
 	"sync"
 )
 
+// MaxUnrolledStmts bounds an unrolled body: Unroll rejects a factor
+// whose copies would hold more statements than this, so an untrusted
+// factor cannot exhaust memory. For scale: every statement lowers to at
+// least one operation, and the paper's 8x8 fabric at the default II cap
+// of 32 has 64 x 32 = 2,048 operation slots.
+const MaxUnrolledStmts = 2048
+
 // Unroll returns a new Program whose loop body is the original body
 // replicated `factor` times, with the induction variable shifted by the
 // copy number in every subscript. It is the IR-level equivalent of loop
@@ -20,6 +27,10 @@ import (
 func Unroll(prog *Program, factor int) (*Program, error) {
 	if factor < 1 {
 		return nil, fmt.Errorf("kernel %q: unroll factor %d < 1", prog.Name, factor)
+	}
+	if n := len(prog.Stmts); n > 0 && factor > MaxUnrolledStmts/n {
+		return nil, fmt.Errorf("kernel %q: unroll factor %d makes more than %d statements from a %d-statement body",
+			prog.Name, factor, MaxUnrolledStmts, n)
 	}
 	if factor == 1 {
 		return prog, nil
