@@ -245,7 +245,7 @@ func BenchmarkSubRouter(b *testing.B) {
 		srcPE := rng.Intn(64)
 		dstPE := rng.Intn(64)
 		lat := 1 + rng.Intn(10)
-		r.FindPath(g.FU(srcPE, 0), g.FU(dstPE, lat%4), lat, cost, 1)
+		r.FindPath(g.FU(srcPE, 0), g.FU(dstPE, lat%4), lat, cost, route.Flat(1))
 	}
 	b.ReportMetric(float64(r.Expansions-start)/float64(b.N), "expansions/op")
 }
@@ -274,17 +274,20 @@ func BenchmarkFindPathCongested(b *testing.B) {
 		srcPE := rng.Intn(64)
 		dstPE := rng.Intn(64)
 		lat := 1 + rng.Intn(10)
-		r.FindPath(g.FU(srcPE, 0), g.FU(dstPE, lat%4), lat, cost, 1)
+		r.FindPath(g.FU(srcPE, 0), g.FU(dstPE, lat%4), lat, cost, route.Flat(1))
 	}
 	b.ReportMetric(float64(r.Expansions-start)/float64(b.N), "expansions/op")
 }
 
 // BenchmarkFindPathShared measures the router's hot case in Rewire's
 // verification: strict routing of a net that already has committed
-// routes, at the own-net sharing floor (StrictSharedCost). Those
-// searches are under a third of rewire-4x4's FindPath calls but most of
-// its queue pops, because the 0.05 floor splits the search over several
-// priority levels instead of one plateau. The fabric is 4x4r2 at II 4
+// routes, at the own-net sharing floor (StrictSharedCost) with the
+// routes passed in the Floor, as route.StrictFloor does. Those searches
+// are under a third of rewire-4x4's FindPath calls but most of its queue
+// pops, because the 0.05 floor splits the search over several priority
+// levels instead of one plateau; the routes let FindPath price the
+// phases they cannot share at full cost in an A* pass and replay the
+// search pruned by its optimal cost. The fabric is 4x4r2 at II 4
 // with a third of the routing resources held by foreign nets; a fixed
 // list of queries runs from the net's producer FU at latencies 4-11,
 // once before the timer to warm the router's buffers. Go rounds
@@ -308,14 +311,14 @@ func BenchmarkFindPathShared(b *testing.B) {
 	const net = mrrg.Net(1)
 	src := g.FU(5, 0)
 	cost := route.StrictCost(st, net)
-	for committed, floor := 0, 1.0; committed < 3; {
+	floor := route.Flat(1)
+	for len(floor.Routes) < 3 {
 		lat := 3 + rng.Intn(6)
 		if p, ok := r.FindPath(src, g.FU(rng.Intn(16), lat), lat, cost, floor); ok {
 			if err := st.ReservePath(p, net, 1); err != nil {
 				b.Fatal(err)
 			}
-			committed++
-			floor = route.StrictSharedCost
+			floor = route.Floor{Min: route.StrictSharedCost, Routes: append(floor.Routes, p)}
 		}
 	}
 	type query struct {
@@ -328,13 +331,13 @@ func BenchmarkFindPathShared(b *testing.B) {
 		queries[i] = query{g.FU(rng.Intn(16), lat), lat}
 	}
 	for _, q := range queries {
-		r.FindPath(src, q.dst, q.lat, cost, route.StrictSharedCost)
+		r.FindPath(src, q.dst, q.lat, cost, floor)
 	}
 	b.ResetTimer()
 	start := r.Expansions
 	for i := 0; i < b.N; i++ {
 		q := queries[i%len(queries)]
-		r.FindPath(src, q.dst, q.lat, cost, route.StrictSharedCost)
+		r.FindPath(src, q.dst, q.lat, cost, floor)
 	}
 	b.ReportMetric(float64(r.Expansions-start)/float64(b.N), "expansions/op")
 }

@@ -503,6 +503,7 @@ func TestMapValidation(t *testing.T) {
 		{"negative portfolio window", `{"kernel":"mvt","arch":"4x4r4","mapper":"portfolio","portfolio_parallelism":-1}`},
 		{"empty grid", `{"kernel":"mvt","arch":"0x4r4"}`},
 		{"negative registers", `{"kernel":"mvt","arch":"2x2r-3"}`},
+		{"huge grid", `{"kernel":"mvt","arch":"4000x4000r4"}`},
 		{"huge unroll", `{"kernel_src":"kernel k\nc[i] = a[i] + b[i]\n","unroll":1099511627776,"arch":"4x4r4"}`},
 	}
 	for _, tc := range cases {

@@ -184,11 +184,23 @@ func New8x8(regs int) *CGRA {
 	return New(fmt.Sprintf("8x8r%d", regs), 8, 8, regs, 8, 0, 7)
 }
 
+// MaxNameSide and MaxNameRegs bound the grids ParseName builds: a
+// name is often untrusted input (a rewire-serve request), and the MRRG
+// of a fabric grows with rows × cols × registers × II, so "4000x4000r4"
+// must be an error rather than a 16M-PE build. Both are several times
+// the largest fabric the evaluation uses (the 10x10r4 of the scaling
+// study) and the paper's 4-register files.
+const (
+	MaxNameSide = 32
+	MaxNameRegs = 16
+)
+
 // ParseName builds the CGRA a "ROWSxCOLSrREGS" name (e.g. "4x4r4")
 // denotes: the 4x4 and 8x8 paper presets; otherwise two banks on the
 // left-most column, or, on a grid wider than four, one bank per row on
 // the left-most and right-most columns. Malformed names, non-positive
-// grids and negative register counts are errors.
+// grids, negative register counts and sizes past MaxNameSide or
+// MaxNameRegs are errors.
 func ParseName(name string) (*CGRA, error) {
 	var rows, cols, regs int
 	if _, err := fmt.Sscanf(strings.ToLower(name), "%dx%dr%d", &rows, &cols, &regs); err != nil {
@@ -196,6 +208,9 @@ func ParseName(name string) (*CGRA, error) {
 	}
 	if rows <= 0 || cols <= 0 || regs < 0 {
 		return nil, fmt.Errorf("arch: bad name %q: want a positive grid and a non-negative register count", name)
+	}
+	if rows > MaxNameSide || cols > MaxNameSide || regs > MaxNameRegs {
+		return nil, fmt.Errorf("arch: bad name %q: at most %dx%d PEs and %d registers", name, MaxNameSide, MaxNameSide, MaxNameRegs)
 	}
 	switch {
 	case rows == 4 && cols == 4:

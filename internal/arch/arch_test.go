@@ -120,12 +120,13 @@ func TestNewPanicsOnBadArgs(t *testing.T) {
 
 func TestParseName(t *testing.T) {
 	for name, want := range map[string]*CGRA{
-		"4x4r4":  New4x4(4),
-		"4X4R1":  New4x4(1),
-		"8x8r4":  New8x8(4),
-		"6x6r2":  New("6x6r2", 6, 6, 2, 6, 0, 5),
-		"2x3r0":  New("2x3r0", 2, 3, 0, 2, 0),
-		"1x1r8x": New("1x1r8x", 1, 1, 8, 2, 0),
+		"4x4r4":    New4x4(4),
+		"4X4R1":    New4x4(1),
+		"8x8r4":    New8x8(4),
+		"6x6r2":    New("6x6r2", 6, 6, 2, 6, 0, 5),
+		"2x3r0":    New("2x3r0", 2, 3, 0, 2, 0),
+		"1x1r8x":   New("1x1r8x", 1, 1, 8, 2, 0),
+		"32x32r16": New("32x32r16", 32, 32, 16, 32, 0, 31),
 	} {
 		got, err := ParseName(name)
 		if err != nil {
@@ -136,9 +137,22 @@ func TestParseName(t *testing.T) {
 			t.Errorf("ParseName(%q) = %+v, want %+v", name, got, want)
 		}
 	}
-	for _, bad := range []string{"", "tiny", "4x4", "0x4r4", "4x0r4", "-2x2r1", "2x2r-3", "4x4r-1"} {
+	for _, bad := range []string{"", "tiny", "4x4", "0x4r4", "4x0r4", "-2x2r1", "2x2r-3", "4x4r-1",
+		"4000x4000r4", "33x4r4", "4x33r4", "4x4r17", "9223372036854775807x1r1"} {
 		if _, err := ParseName(bad); err == nil {
 			t.Errorf("ParseName(%q) succeeded, want an error", bad)
+		}
+	}
+	// Every name the evaluation builds parses: the Figure 5 presets and
+	// the scaling study's grids.
+	for _, c := range Presets() {
+		if _, err := ParseName(c.Name); err != nil {
+			t.Errorf("preset %s: %v", c.Name, err)
+		}
+	}
+	for _, name := range []string{"4x4r4", "6x6r4", "8x8r4", "10x10r4"} {
+		if _, err := ParseName(name); err != nil {
+			t.Errorf("scaling fabric %s: %v", name, err)
 		}
 	}
 }

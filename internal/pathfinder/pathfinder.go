@@ -498,9 +498,9 @@ func (p *perII) routeEdge(eid int) bool {
 	}
 	src := p.sess.Graph.FU(m.Place[e.From].PE, m.Place[e.From].Time)
 	dst := p.sess.Graph.FU(m.Place[e.To].PE, m.Place[e.To].Time)
-	// The cost floor mirrors StrictFloor: own-net sharing (0.05) is only
-	// reachable once the net has a routed edge; otherwise every admitted
-	// step costs at least the unit base (history is non-negative).
+	// StrictFloor fits the negotiated cost too: own-net sharing costs
+	// 0.05 as in StrictCost, and every other step at least the unit base
+	// (history is non-negative).
 	path, ok := p.router.FindPath(src, dst, lat, p.cost(mrrg.Net(e.From)), route.StrictFloor(p.sess, e.From))
 	if !ok {
 		return false

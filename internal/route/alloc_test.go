@@ -22,11 +22,11 @@ func TestFindPathAllocs(t *testing.T) {
 	cost := StrictCost(st, 1)
 
 	src, dst := g.FU(0, 0), g.FU(9, 1)
-	if _, ok := r.FindPath(src, dst, 5, cost, 1); !ok {
+	if _, ok := r.FindPath(src, dst, 5, cost, Flat(1)); !ok {
 		t.Fatal("setup route must exist")
 	}
 	got := testing.AllocsPerRun(100, func() {
-		if _, ok := r.FindPath(src, dst, 5, cost, 1); !ok {
+		if _, ok := r.FindPath(src, dst, 5, cost, Flat(1)); !ok {
 			t.Fatal("route vanished")
 		}
 	})
@@ -37,7 +37,7 @@ func TestFindPathAllocs(t *testing.T) {
 	// An impossible latency fails before searching; an unreachable exact
 	// latency fails after searching. Neither may allocate.
 	got = testing.AllocsPerRun(100, func() {
-		if _, ok := r.FindPath(src, dst, 2, cost, 1); ok {
+		if _, ok := r.FindPath(src, dst, 2, cost, Flat(1)); ok {
 			t.Fatal("latency 2 to a Manhattan-3 PE should be unroutable")
 		}
 	})
@@ -48,8 +48,9 @@ func TestFindPathAllocs(t *testing.T) {
 
 // TestFindPathSharedAllocs pins the allocation budget exactly in the
 // hot case of Rewire's verification: strict routing at the own-net
-// sharing floor for a net with committed routes, over congested
-// occupancy, where searches cross several priority levels. A batch of
+// sharing floor for a net with committed routes, which the floor
+// carries, over congested occupancy, where searches split into an A*
+// pass and a pruned replay. A batch of
 // fixed queries, some of which fail, must allocate exactly one path per
 // successful query and nothing else, however many succeed.
 func TestFindPathSharedAllocs(t *testing.T) {
@@ -70,14 +71,14 @@ func TestFindPathSharedAllocs(t *testing.T) {
 	const net = mrrg.Net(1)
 	src := g.FU(5, 0)
 	cost := StrictCost(st, net)
-	for committed, floor := 0, 1.0; committed < 3; {
+	floor := Flat(1)
+	for len(floor.Routes) < 3 {
 		lat := 3 + rng.Intn(6)
 		if p, ok := r.FindPath(src, g.FU(rng.Intn(16), lat), lat, cost, floor); ok {
 			if err := st.ReservePath(p, net, 1); err != nil {
 				t.Fatal(err)
 			}
-			committed++
-			floor = StrictSharedCost
+			floor = Floor{Min: StrictSharedCost, Routes: append(floor.Routes, p)}
 		}
 	}
 	type query struct {
@@ -91,7 +92,7 @@ func TestFindPathSharedAllocs(t *testing.T) {
 	}
 	found := 0
 	for _, q := range queries {
-		if _, ok := r.FindPath(src, q.dst, q.lat, cost, StrictSharedCost); ok {
+		if _, ok := r.FindPath(src, q.dst, q.lat, cost, floor); ok {
 			found++
 		}
 	}
@@ -100,7 +101,7 @@ func TestFindPathSharedAllocs(t *testing.T) {
 	}
 	got := testing.AllocsPerRun(10, func() {
 		for _, q := range queries {
-			r.FindPath(src, q.dst, q.lat, cost, StrictSharedCost)
+			r.FindPath(src, q.dst, q.lat, cost, floor)
 		}
 	})
 	if got != float64(found) {
@@ -126,7 +127,7 @@ func TestRouterTrimsQueue(t *testing.T) {
 		r.q.spare = append(r.q.spare, make([]qentry, 0, 1))
 	}
 	r.q.levels = make([]qlevel, 0, 4*maxRetainedLevels)
-	if _, ok := r.FindPath(g.FU(0, 0), g.FU(9, 1), 5, cost, 1); !ok {
+	if _, ok := r.FindPath(g.FU(0, 0), g.FU(9, 1), 5, cost, Flat(1)); !ok {
 		t.Fatal("route must exist")
 	}
 	if got := retainedEntries(&r.q); got > maxRetainedPQ {
@@ -136,7 +137,7 @@ func TestRouterTrimsQueue(t *testing.T) {
 		t.Errorf("router retains bookkeeping for %d levels after FindPath, cap is %d", got, maxRetainedLevels)
 	}
 	// And routing still works with the fresh queue.
-	if _, ok := r.FindPath(g.FU(0, 0), g.FU(9, 1), 5, cost, 1); !ok {
+	if _, ok := r.FindPath(g.FU(0, 0), g.FU(9, 1), 5, cost, Flat(1)); !ok {
 		t.Fatal("route must survive the trim")
 	}
 }

@@ -1,6 +1,7 @@
 package route
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -27,7 +28,7 @@ func TestTorusWrapNotOverPruned(t *testing.T) {
 	if got := r.NeedCycles(0, 3); got != 2 {
 		t.Fatalf("NeedCycles(0,3) on torus = %d, want 2 (one wrap hop + FU entry)", got)
 	}
-	path, ok := r.FindPath(g.FU(0, 0), g.FU(3, 2), 2, freeCost, 1)
+	path, ok := r.FindPath(g.FU(0, 0), g.FU(3, 2), 2, freeCost, Flat(1))
 	if !ok || len(path) != 1 {
 		t.Fatalf("wrap-link route lost to the prune: path=%v ok=%v", path, ok)
 	}
@@ -39,7 +40,7 @@ func TestTorusWrapNotOverPruned(t *testing.T) {
 	if got := r.NeedCycles(0, 15); got != 3 {
 		t.Fatalf("NeedCycles(0,15) on torus = %d, want 3", got)
 	}
-	if _, ok := r.FindPath(g.FU(0, 0), g.FU(15, 3), 3, freeCost, 1); !ok {
+	if _, ok := r.FindPath(g.FU(0, 0), g.FU(15, 3), 3, freeCost, Flat(1)); !ok {
 		t.Fatal("corner-to-corner wrap route at latency 3 not found")
 	}
 }
@@ -121,15 +122,63 @@ func pathCost(path []mrrg.Node, cost CostFn) float64 {
 	return total
 }
 
+// refCostToGo runs the same reference backwards over the layers:
+// ctg[e][n] is the minimum cost of completing a route from (n, e) to
+// (dst, lat) under refMinCost's admission rules, +Inf where none exists.
+// Every arc goes from layer e to e+1, so one backward sweep per layer is
+// exact.
+func refCostToGo(g *mrrg.Graph, dst mrrg.Node, lat int, cost CostFn) [][]float64 {
+	ctg := make([][]float64, lat+1)
+	for e := range ctg {
+		ctg[e] = make([]float64, g.NumNodes())
+		for n := range ctg[e] {
+			ctg[e][n] = math.Inf(1)
+		}
+	}
+	ctg[lat][dst] = 0
+	for e := lat - 1; e >= 0; e-- {
+		ne := e + 1
+		for n := mrrg.Node(0); int(n) < g.NumNodes(); n++ {
+			for _, m := range g.Succs(n) {
+				if math.IsInf(ctg[ne][m], 1) {
+					continue
+				}
+				step := 0.0
+				if ne < lat {
+					if m == dst && g.Kind(m) == mrrg.KindFU {
+						continue
+					}
+					c, ok := cost(m, ne)
+					if !ok {
+						continue
+					}
+					step = c
+				}
+				ctg[e][n] = min(ctg[e][n], step+ctg[ne][m])
+			}
+		}
+	}
+	return ctg
+}
+
 // TestAStarMatchesDijkstraCosts checks the optimality claim bit for bit:
 // over random fabrics (mesh and torus), random endpoints/latencies, and
 // random FP-exact cost tables with unusable resources, findOnce with the
 // exact floor returns paths whose total cost equals the reference
 // Dijkstra minimum, and fails exactly when the reference fails. floor=0
 // (pure Dijkstra ordering) must agree too.
+//
+// Each trial also routes a net that holds a random route tree (routes
+// from src, and one from another FU whose phases do not match), with a
+// PathFinder-shaped cost: 0.25 to share a held resource at its phase, 1
+// or 2 for any other. With a Floor carrying those routes, the split
+// search must still hit the Dijkstra minimum, and its step table must be
+// admissible against the true cost-to-go of every state and consistent
+// on every arc the search relaxes (into a state the oracle prune keeps).
 func TestAStarMatchesDijkstraCosts(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	costs := []float64{0.25, 0.5, 1, 2} // exact binary fractions: sums are FP-exact
+	splits := 0
 	for trial := 0; trial < 150; trial++ {
 		rows := 3 + rng.Intn(2)
 		cols := 3 + rng.Intn(2)
@@ -144,8 +193,9 @@ func TestAStarMatchesDijkstraCosts(t *testing.T) {
 		for i := range tbl {
 			tbl[i] = uint8(rng.Intn(8))
 		}
+		lookup := func(n mrrg.Node, phase int) uint8 { return tbl[int(n)*(r.MaxLat()+1)+phase%(r.MaxLat()+1)] }
 		cost := func(n mrrg.Node, phase int) (float64, bool) {
-			v := tbl[int(n)*(r.MaxLat()+1)+phase%(r.MaxLat()+1)]
+			v := lookup(n, phase)
 			if v == 7 {
 				return 0, false
 			}
@@ -159,7 +209,7 @@ func TestAStarMatchesDijkstraCosts(t *testing.T) {
 
 		for _, floor := range []float64{0.25, 0} {
 			ban := bumpEpoch(&r.banEpoch, r.banStamp)
-			path, ok := r.findOnce(src, dst, lat, cost, floor, ban)
+			path, ok := r.findOnce(src, dst, lat, cost, r.heuristics(dst, lat, Flat(floor)), ban)
 			if ok != wantOK {
 				t.Fatalf("trial %d floor %v: found=%v, reference says %v (lat %d)", trial, floor, ok, wantOK, lat)
 			}
@@ -170,7 +220,92 @@ func TestAStarMatchesDijkstraCosts(t *testing.T) {
 				t.Fatalf("trial %d floor %v: path cost %v != Dijkstra minimum %v", trial, floor, got, want)
 			}
 		}
+
+		// The own-net tree, over some foreign occupancy.
+		const net = mrrg.Net(1)
+		st := mrrg.NewState(g)
+		for n := mrrg.Node(0); int(n) < g.NumNodes(); n++ {
+			if g.Valid(n) && g.Kind(n) != mrrg.KindFU && rng.Intn(6) == 0 {
+				if err := st.Reserve(n, 9, 1+rng.Intn(8)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		floor := Floor{Min: 0.25}
+		for k := 0; k < 4; k++ {
+			from := src
+			if k == 3 {
+				from = g.FU(rng.Intn(a.NumPEs()), rng.Intn(ii))
+			}
+			l := 2 + rng.Intn(6)
+			if p, ok := r.FindPath(from, g.FU(rng.Intn(a.NumPEs()), g.Time(from)+l), l, StrictCost(st, net), Flat(1)); ok && st.ReservePath(p, net, 1) == nil {
+				floor.Routes = append(floor.Routes, p)
+			}
+		}
+		treeCost := func(n mrrg.Node, phase int) (float64, bool) {
+			ok, shared := st.Admit(n, net, phase)
+			switch {
+			case !ok || lookup(n, phase) == 7:
+				return 0, false
+			case shared:
+				return 0.25, true
+			}
+			return 1 + float64(lookup(n, phase)%2), true
+		}
+		want, wantOK = refMinCost(g, src, dst, lat, treeCost)
+		split := r.heuristics(dst, lat, floor)
+		h := r.flat
+		if split {
+			h = r.step
+			splits++
+		}
+		ban := bumpEpoch(&r.banEpoch, r.banStamp)
+		path, ok := r.findOnce(src, dst, lat, treeCost, split, ban)
+		if ok != wantOK || ok && pathCost(path, treeCost) != want {
+			t.Fatalf("trial %d tree (split=%v): found=%v cost %v, reference found=%v cost %v (lat %d)",
+				trial, split, ok, pathCost(path, treeCost), wantOK, want, lat)
+		}
+		ctg := refCostToGo(g, dst, lat, treeCost)
+		if got := ctg[0][src]; wantOK && got != want || !wantOK && !math.IsInf(got, 1) {
+			t.Fatalf("trial %d: references disagree: cost-to-go %v, Dijkstra %v (found=%v)", trial, got, want, wantOK)
+		}
+		drow := r.oracle.Row(g.PE(dst))
+		for e := 0; e <= lat; e++ {
+			for n := mrrg.Node(0); int(n) < g.NumNodes(); n++ {
+				if h[e] > ctg[e][n] {
+					t.Fatalf("trial %d (split=%v): h[%d] = %v overestimates the cost-to-go %v of %s", trial, split, e, h[e], ctg[e][n], g.String(n))
+				}
+				if e == lat {
+					continue
+				}
+				ne := e + 1
+				for _, m := range g.Succs(n) {
+					c := 0.0
+					if ne == lat {
+						if m != dst {
+							continue
+						}
+					} else {
+						if m == dst && g.Kind(m) == mrrg.KindFU || ne+int(drow[g.FeedsPE(m)])+1 > lat {
+							continue
+						}
+						var usable bool
+						if c, usable = treeCost(m, ne); !usable {
+							continue
+						}
+					}
+					if h[e] > c+h[ne] {
+						t.Fatalf("trial %d (split=%v): arc %s@%d -> %s@%d costs %v, but h drops %v -> %v",
+							trial, split, g.String(n), e, g.String(m), ne, c, h[e], h[ne])
+					}
+				}
+			}
+		}
 	}
+	if splits < 20 {
+		t.Fatalf("only %d of 150 trials ran the split search", splits)
+	}
+	t.Logf("%d of 150 trials split", splits)
 }
 
 // TestFindPathDeterministic pins the deterministic tie-break: two fresh
@@ -188,10 +323,10 @@ func TestFindPathDeterministic(t *testing.T) {
 		src := g.FU(rng.Intn(16), rng.Intn(3))
 		dst := g.FU(rng.Intn(16), rng.Intn(3))
 		lat := 1 + rng.Intn(8)
-		p1, ok1 := r1.FindPath(src, dst, lat, freeCost, 1)
+		p1, ok1 := r1.FindPath(src, dst, lat, freeCost, Flat(1))
 		fresh := NewRouter(g, DefaultMaxLat(4, 4, 3))
-		p2, ok2 := r2.FindPath(src, dst, lat, freeCost, 1)
-		p3, ok3 := fresh.FindPath(src, dst, lat, freeCost, 1)
+		p2, ok2 := r2.FindPath(src, dst, lat, freeCost, Flat(1))
+		p3, ok3 := fresh.FindPath(src, dst, lat, freeCost, Flat(1))
 		if ok1 != ok2 || ok1 != ok3 {
 			t.Fatalf("call %d: ok diverged: %v/%v/%v", i, ok1, ok2, ok3)
 		}

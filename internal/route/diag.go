@@ -55,7 +55,7 @@ func Blockers(s *mapping.Session, r *Router, e int) (blocked []mrrg.Node, ok boo
 	}
 	src := s.Graph.FU(s.M.Place[ed.From].PE, s.M.Place[ed.From].Time)
 	dst := s.Graph.FU(s.M.Place[ed.To].PE, s.M.Place[ed.To].Time)
-	path, found := r.FindPath(src, dst, lat, relaxed, StrictSharedCost)
+	path, found := r.FindPath(src, dst, lat, relaxed, Flat(StrictSharedCost))
 	if !found {
 		return nil, false
 	}

@@ -11,14 +11,24 @@ import (
 )
 
 // TestFindPathMatchesDenseReference is the differential test of the
-// compact search state and the exact-order queue: over random mesh and
-// torus fabrics at II 1-4, with occupancy that includes own-net
-// resources at matching and mismatched phases, every FindPath call must
-// return the same path, the same ok and the same number of expansions
-// as denseRouter, the frozen pre-compaction router. It covers floors 1,
-// 0.05 and 0 (admissible or not for the cost in use), strict,
-// PathFinder-style and unquantized costs, and a cost that makes the
-// cheapest path repeat a resource so the ban-and-retry path runs.
+// compact search state, the exact-order queue and the own-net replay:
+// over random mesh and torus fabrics at II 1-4, every FindPath call must
+// return the same path and the same ok as denseRouter, the frozen
+// pre-compaction router, run at the floor's Min.
+//
+// Flat floors must also match its expansions call for call. They cover
+// floors 1, 0.05 and 0 (admissible or not for the cost in use), strict,
+// PathFinder-style and unquantized costs over occupancy that includes
+// own-net resources at matching and mismatched phases, and a cost that
+// makes the cheapest path repeat a resource so the ban-and-retry path
+// runs.
+//
+// Floors carrying a net's routes (the split search and its replay) are
+// checked on a second net whose holdings are exactly a random route
+// tree: some routes leave the producer FU, so their phases match the
+// search's, and some leave another FU, so they do not. Strict and
+// PathFinder-style costs run over it, ban retries included, and the
+// replay must pop fewer states in total than the reference.
 func TestFindPathMatchesDenseReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	fabrics := 48
@@ -26,6 +36,10 @@ func TestFindPathMatchesDenseReference(t *testing.T) {
 		fabrics = 12
 	}
 	calls, found, retries := 0, 0, 0
+	var tree struct {
+		calls, found, retries int
+		exp, refExp           int64
+	}
 	for fab := 0; fab < fabrics; fab++ {
 		rows, cols := 3+rng.Intn(3), 3+rng.Intn(3)
 		a := arch.New("diff", rows, cols, 1+rng.Intn(3), 2, 0)
@@ -65,19 +79,40 @@ func TestFindPathMatchesDenseReference(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		// The tree net: three routes from src and two from another FU,
+		// listed among unrelated slots that Edges skips.
+		const treeNet = mrrg.Net(2)
+		treeFloor := Floor{Min: StrictSharedCost}
+		for k := 0; k < 5; k++ {
+			from := src
+			if k >= 3 {
+				from = g.FU(rng.Intn(a.NumPEs()), rng.Intn(ii))
+			}
+			lat := 2 + rng.Intn(6)
+			p, ok := ref.FindPath(from, g.FU(rng.Intn(a.NumPEs()), g.Time(from)+lat), lat, StrictCost(st, treeNet), 1)
+			if ok && st.ReservePath(p, treeNet, 1) == nil {
+				treeFloor.Edges = append(treeFloor.Edges, len(treeFloor.Routes))
+				treeFloor.Routes = append(treeFloor.Routes, p, nil)
+			}
+		}
+		if fab%2 == 0 {
+			treeFloor.Routes, treeFloor.Edges = slices.DeleteFunc(treeFloor.Routes, func(p []mrrg.Node) bool { return p == nil }), nil
+		}
 		hist := make([]float64, g.NumNodes())
 		for i := range hist {
 			hist[i] = 0.5 * float64(rng.Intn(5))
 		}
-		pathfinder := func(n mrrg.Node, phase int) (float64, bool) {
-			ok, shared := st.Admit(n, net, phase)
-			if !ok {
-				return 0, false
+		pathfinder := func(net mrrg.Net) CostFn {
+			return func(n mrrg.Node, phase int) (float64, bool) {
+				ok, shared := st.Admit(n, net, phase)
+				if !ok {
+					return 0, false
+				}
+				if shared {
+					return 0.05, true
+				}
+				return 1 + hist[n], true
 			}
-			if shared {
-				return 0.05, true
-			}
-			return 1 + hist[n], true
 		}
 		// FUs nearly free: the cheapest path dwells by forwarding through
 		// FUs and, once it wraps the II, repeats one.
@@ -94,7 +129,8 @@ func TestFindPathMatchesDenseReference(t *testing.T) {
 			spread[i] = 0.05 + 3*rng.Float64()
 		}
 		unquantized := func(n mrrg.Node, phase int) (float64, bool) { return spread[n], true }
-		costs := []CostFn{StrictCost(st, net), pathfinder, cheapFU, unquantized}
+		costs := []CostFn{StrictCost(st, net), pathfinder(net), cheapFU, unquantized}
+		treeCosts := []CostFn{StrictCost(st, treeNet), pathfinder(treeNet)}
 
 		for q := 0; q < 40; q++ {
 			lat := 1 + rng.Intn(maxLat+1)
@@ -106,7 +142,7 @@ func TestFindPathMatchesDenseReference(t *testing.T) {
 			for ci, cost := range costs {
 				for _, floor := range []float64{1, StrictSharedCost, 0} {
 					r0, ref0, retry0 := r.Expansions, ref.Expansions, ref.retries
-					got, ok := r.FindPath(src, dst, lat, cost, floor)
+					got, ok := r.FindPath(src, dst, lat, cost, Flat(floor))
 					want, wantOK := ref.FindPath(src, dst, lat, cost, floor)
 					calls++
 					retries += ref.retries - retry0
@@ -120,6 +156,23 @@ func TestFindPathMatchesDenseReference(t *testing.T) {
 					}
 				}
 			}
+			for ci, cost := range treeCosts {
+				r0, ref0, retry0 := r.Expansions, ref.Expansions, ref.retries
+				got, ok := r.FindPath(src, dst, lat, cost, treeFloor)
+				want, wantOK := ref.FindPath(src, dst, lat, cost, treeFloor.Min)
+				tree.calls++
+				tree.retries += ref.retries - retry0
+				tree.exp += r.Expansions - r0
+				tree.refExp += ref.Expansions - ref0
+				if ok {
+					tree.found++
+				}
+				if ok != wantOK || !slices.Equal(got, want) {
+					t.Fatalf("fabric %d (%dx%d torus=%v II %d) tree cost %d: %s -> %s lat %d:\n got  ok=%v %v\n want ok=%v %v",
+						fab, rows, cols, a.Torus, ii, ci, g.String(src), g.String(dst), lat,
+						ok, got, wantOK, want)
+				}
+			}
 		}
 	}
 	// The comparison means little unless both outcomes and the retry
@@ -127,7 +180,14 @@ func TestFindPathMatchesDenseReference(t *testing.T) {
 	if found == 0 || found == calls || retries == 0 {
 		t.Fatalf("weak coverage: %d calls, %d found, %d ban retries", calls, found, retries)
 	}
+	if tree.found == 0 || tree.found == tree.calls || tree.retries == 0 {
+		t.Fatalf("weak tree coverage: %d calls, %d found, %d ban retries", tree.calls, tree.found, tree.retries)
+	}
+	if tree.exp >= tree.refExp {
+		t.Fatalf("tree queries popped %d states, the reference %d: the replay saved nothing", tree.exp, tree.refExp)
+	}
 	t.Logf("%d calls, %d found, %d ban retries", calls, found, retries)
+	t.Logf("tree: %d calls, %d found, %d ban retries, %d pops vs %d", tree.calls, tree.found, tree.retries, tree.exp, tree.refExp)
 }
 
 // TestRouterScratchSize pins the compact layout's footprint: the search

@@ -31,7 +31,7 @@ func TestAdjacentHopLatencyTwo(t *testing.T) {
 	s, r := sess(t, pair(), arch.New4x4(2), 4)
 	src := s.Graph.FU(0, 0)
 	dst := s.Graph.FU(1, 2) // east neighbour, 2 cycles later
-	path, ok := r.FindPath(src, dst, 2, freeCost, 1)
+	path, ok := r.FindPath(src, dst, 2, freeCost, Flat(1))
 	if !ok || len(path) != 1 {
 		t.Fatalf("path=%v ok=%v", path, ok)
 	}
@@ -42,7 +42,7 @@ func TestAdjacentHopLatencyTwo(t *testing.T) {
 
 func TestSamePEForwardLatencyOne(t *testing.T) {
 	s, r := sess(t, pair(), arch.New4x4(2), 4)
-	path, ok := r.FindPath(s.Graph.FU(5, 1), s.Graph.FU(5, 2), 1, freeCost, 1)
+	path, ok := r.FindPath(s.Graph.FU(5, 1), s.Graph.FU(5, 2), 1, freeCost, Flat(1))
 	if !ok || len(path) != 0 {
 		t.Fatalf("path=%v ok=%v", path, ok)
 	}
@@ -51,14 +51,14 @@ func TestSamePEForwardLatencyOne(t *testing.T) {
 func TestImpossibleLatencyFails(t *testing.T) {
 	s, r := sess(t, pair(), arch.New4x4(2), 4)
 	// Distance-3 PE in 2 cycles: impossible.
-	if _, ok := r.FindPath(s.Graph.FU(0, 0), s.Graph.FU(3, 2), 2, freeCost, 1); ok {
+	if _, ok := r.FindPath(s.Graph.FU(0, 0), s.Graph.FU(3, 2), 2, freeCost, Flat(1)); ok {
 		t.Fatal("found impossible path")
 	}
 	// Latency 0 or beyond maxLat.
-	if _, ok := r.FindPath(s.Graph.FU(0, 0), s.Graph.FU(0, 0), 0, freeCost, 1); ok {
+	if _, ok := r.FindPath(s.Graph.FU(0, 0), s.Graph.FU(0, 0), 0, freeCost, Flat(1)); ok {
 		t.Fatal("latency 0 accepted")
 	}
-	if _, ok := r.FindPath(s.Graph.FU(0, 0), s.Graph.FU(0, 1), r.MaxLat()+1, freeCost, 1); ok {
+	if _, ok := r.FindPath(s.Graph.FU(0, 0), s.Graph.FU(0, 1), r.MaxLat()+1, freeCost, Flat(1)); ok {
 		t.Fatal("latency beyond maxLat accepted")
 	}
 }
@@ -66,7 +66,7 @@ func TestImpossibleLatencyFails(t *testing.T) {
 func TestDwellUsesRegister(t *testing.T) {
 	s, r := sess(t, pair(), arch.New4x4(2), 4)
 	// Same PE, 3 cycles: must dwell 2 cycles via a register or wander.
-	path, ok := r.FindPath(s.Graph.FU(2, 0), s.Graph.FU(2, 3), 3, freeCost, 1)
+	path, ok := r.FindPath(s.Graph.FU(2, 0), s.Graph.FU(2, 3), 3, freeCost, Flat(1))
 	if !ok || len(path) != 2 {
 		t.Fatalf("path=%v ok=%v", path, ok)
 	}
@@ -84,11 +84,11 @@ func TestRoutingAroundBlockedResources(t *testing.T) {
 	}
 	cost := StrictCost(st, 7)
 	// Latency 2 now impossible (only the east link does it in one hop).
-	if _, ok := r.FindPath(s.Graph.FU(0, 0), s.Graph.FU(1, 2), 2, cost, StrictSharedCost); ok {
+	if _, ok := r.FindPath(s.Graph.FU(0, 0), s.Graph.FU(1, 2), 2, cost, Flat(StrictSharedCost)); ok {
 		t.Fatal("route through foreign reservation")
 	}
 	// Latency 3 detours (e.g. south then northeast, or reg dwell + hop).
-	path, ok := r.FindPath(s.Graph.FU(0, 0), s.Graph.FU(1, 3), 3, cost, StrictSharedCost)
+	path, ok := r.FindPath(s.Graph.FU(0, 0), s.Graph.FU(1, 3), 3, cost, Flat(StrictSharedCost))
 	if !ok {
 		t.Fatal("no detour found")
 	}
@@ -107,7 +107,7 @@ func TestOwnNetSharingIsCheap(t *testing.T) {
 	if err := st.Reserve(link, 7, 1); err != nil {
 		t.Fatal(err)
 	}
-	path, ok := r.FindPath(s.Graph.FU(0, 0), s.Graph.FU(1, 2), 2, StrictCost(st, 7), StrictSharedCost)
+	path, ok := r.FindPath(s.Graph.FU(0, 0), s.Graph.FU(1, 2), 2, StrictCost(st, 7), Flat(StrictSharedCost))
 	if !ok || len(path) != 1 || path[0] != link {
 		t.Fatal("same-net same-phase resource not reused")
 	}
@@ -116,7 +116,7 @@ func TestOwnNetSharingIsCheap(t *testing.T) {
 	if err := st2.Reserve(link, 7, 3); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := r.FindPath(s.Graph.FU(0, 0), s.Graph.FU(1, 2), 2, StrictCost(st2, 7), StrictSharedCost); ok {
+	if _, ok := r.FindPath(s.Graph.FU(0, 0), s.Graph.FU(1, 2), 2, StrictCost(st2, 7), Flat(StrictSharedCost)); ok {
 		t.Fatal("cross-phase sharing allowed")
 	}
 }
@@ -213,7 +213,7 @@ func TestPropFoundPathsAlwaysValid(t *testing.T) {
 		if err := s.PlaceNode(1, peB, tB); err != nil {
 			return false
 		}
-		path, ok := r.FindPath(s.Graph.FU(peA, tA), s.Graph.FU(peB, tB), lat, StrictCost(s.State, 0), StrictSharedCost)
+		path, ok := r.FindPath(s.Graph.FU(peA, tA), s.Graph.FU(peB, tB), lat, StrictCost(s.State, 0), Flat(StrictSharedCost))
 		if !ok {
 			return true // nothing found is fine; validity is what we check
 		}
@@ -255,7 +255,7 @@ func TestPropStrictRoutingAvoidsForeignNets(t *testing.T) {
 		path, ok := r.FindPath(
 			s.Graph.FU(s.M.Place[0].PE, s.M.Place[0].Time),
 			s.Graph.FU(s.M.Place[1].PE, s.M.Place[1].Time),
-			lat, StrictCost(s.State, 0), StrictSharedCost)
+			lat, StrictCost(s.State, 0), Flat(StrictSharedCost))
 		if !ok {
 			return true
 		}
@@ -277,7 +277,7 @@ func TestFindPathBanRetryAvoidsDuplicates(t *testing.T) {
 	// revisits a resource.
 	s, r := sess(t, pair(), arch.New4x4(1), 3)
 	for lat := 1; lat <= r.MaxLat(); lat++ {
-		path, ok := r.FindPath(s.Graph.FU(5, 0), s.Graph.FU(5, lat%3), lat, freeCost, 1)
+		path, ok := r.FindPath(s.Graph.FU(5, 0), s.Graph.FU(5, lat%3), lat, freeCost, Flat(1))
 		if !ok {
 			continue
 		}
@@ -294,7 +294,7 @@ func TestFindPathBanRetryAvoidsDuplicates(t *testing.T) {
 func TestRouterExpansionCounter(t *testing.T) {
 	s, r := sess(t, pair(), arch.New4x4(2), 3)
 	before := r.Expansions
-	r.FindPath(s.Graph.FU(0, 0), s.Graph.FU(15, 0), 9, freeCost, 1)
+	r.FindPath(s.Graph.FU(0, 0), s.Graph.FU(15, 0), 9, freeCost, Flat(1))
 	if r.Expansions <= before {
 		t.Fatal("expansion counter did not advance")
 	}

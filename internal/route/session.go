@@ -14,20 +14,24 @@ func ForSession(s *mapping.Session) *Router {
 	return NewRouter(s.Graph, DefaultMaxLat(a.Rows, a.Cols, s.M.II))
 }
 
-// StrictFloor returns the exact lower bound on any step cost
-// StrictCost(s.State, producer) can admit, which is what FindPath wants
-// as its heuristic floor: the own-net sharing discount is only reachable
-// once some edge of the producer's net is routed (the producer's own FU
-// and bank-port reservations sit at phase 0, which a mid-path state can
-// never match), so a net with no routed edges pays full unit cost on
-// every step.
-func StrictFloor(s *mapping.Session, producer int) float64 {
-	for _, eid := range s.M.DFG.OutEdges(producer) {
+// StrictFloor returns the Floor for routing an edge of producer's net
+// with StrictCost(s.State, producer) or PathFinder's negotiated cost. The
+// own-net sharing discount is only reachable once some edge of the net is
+// routed (the producer's own FU and bank-port reservations sit at phase
+// 0, which a mid-path state can never match), so a net with no routed
+// edges pays full unit cost on every step: Flat(1). Otherwise the floor
+// is StrictSharedCost, and it carries the net's committed routes, which
+// hold every resource the net holds past phase 0, so that FindPath can
+// price the phases they cannot share at full cost. It references the
+// session's routes and the DFG's out-edge list instead of copying them.
+func StrictFloor(s *mapping.Session, producer int) Floor {
+	out := s.M.DFG.OutEdges(producer)
+	for _, eid := range out {
 		if s.M.Routed(eid) {
-			return StrictSharedCost
+			return Floor{Min: StrictSharedCost, Routes: s.M.Routes, Edges: out}
 		}
 	}
-	return 1
+	return Flat(1)
 }
 
 // Edge routes edge e of the session strictly (free or own-net resources

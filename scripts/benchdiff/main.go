@@ -3,11 +3,12 @@
 //
 //   - ns/op worse than the baseline by more than -threshold (default
 //     15%, absorbing CI-runner noise), or
-//   - any custom per-op metric (a "<unit>/op" key other than B/op and
-//     allocs/op, e.g. the router's expansions/op) worse than the
-//     baseline by more than -threshold — these count deterministic work,
-//     so they regress by algorithm changes, not runner noise, but the
-//     shared threshold still absorbs seed-level wobble, or
+//   - any custom per-op work metric (a "<unit>/op" key other than B/op
+//     and allocs/op, e.g. the router's expansions/op) above its baseline
+//     at all, whatever -threshold says: scripts/bench.sh runs the
+//     micro-benchmarks at a fixed iteration count over fixed inputs, so
+//     these counts are deterministic and any increase is an algorithm
+//     change, never runner noise, or
 //   - any allocs/op increase on a bench whose baseline allocs/op is 0 —
 //     the zero-alloc pins (disabled tracer/logger/metrics hot paths)
 //     must stay exactly zero, with no noise allowance, or
@@ -74,10 +75,19 @@ type regression struct {
 }
 
 func (r regression) String() string {
-	if (r.Metric == "allocs/op" || r.Metric == "B/op") && r.Base == 0 {
+	switch {
+	case (r.Metric == "allocs/op" || r.Metric == "B/op") && r.Base == 0:
 		return fmt.Sprintf("%s: %s %g -> %g (zero-alloc pin broken)", r.Name, r.Metric, r.Base, r.Cur)
+	case isWork(r.Metric):
+		return fmt.Sprintf("%s: %s %g -> %g (%+.2f%%, work is gated exactly)", r.Name, r.Metric, r.Base, r.Cur, 100*(r.Cur-r.Base)/r.Base)
 	}
 	return fmt.Sprintf("%s: %s %.0f -> %.0f (%+.1f%%)", r.Name, r.Metric, r.Base, r.Cur, 100*(r.Cur-r.Base)/r.Base)
+}
+
+// isWork reports whether metric is a custom per-op work count, which
+// benchdiff gates exactly.
+func isWork(metric string) bool {
+	return strings.HasSuffix(metric, "/op") && metric != "ns/op" && metric != "B/op" && metric != "allocs/op"
 }
 
 // diff compares current against baseline and returns every regression
@@ -137,8 +147,10 @@ func diff(base, cur Output, threshold float64) (regs []regression, notes []strin
 				}
 			}
 		}
+		// Work counts get no tolerance: at a fixed iteration count they
+		// are deterministic, so threshold does not apply.
 		for _, m := range sortedKeys(b.Metrics) {
-			if !strings.HasSuffix(m, "/op") || m == "ns/op" || m == "B/op" || m == "allocs/op" {
+			if !isWork(m) {
 				continue
 			}
 			bV := b.Metrics[m]
@@ -147,8 +159,8 @@ func diff(base, cur Output, threshold float64) (regs []regression, notes []strin
 				continue
 			}
 			delta := (cV - bV) / bV
-			notes = append(notes, fmt.Sprintf("%-44s %s %11.0f -> %11.0f  %+6.1f%%", b.Name, m, bV, cV, 100*delta))
-			if delta > threshold {
+			notes = append(notes, fmt.Sprintf("%-44s %s %11.4g -> %11.4g  %+6.1f%%", b.Name, m, bV, cV, 100*delta))
+			if cV > bV {
 				regs = append(regs, regression{b.Name, m, bV, cV})
 			}
 		}
@@ -179,7 +191,7 @@ func load(path string) (Output, error) {
 }
 
 func main() {
-	threshold := flag.Float64("threshold", 0.15, "ns/op regression tolerance (0.15 = +15%)")
+	threshold := flag.Float64("threshold", 0.15, "ns/op, allocs/op and B/op regression tolerance (0.15 = +15%); work metrics are exact")
 	flag.Parse()
 	if flag.NArg() != 2 {
 		fmt.Fprintln(os.Stderr, "usage: benchdiff [-threshold 0.15] BASELINE.json CURRENT.json")

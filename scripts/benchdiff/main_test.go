@@ -147,10 +147,32 @@ func TestCustomPerOpMetricGated(t *testing.T) {
 	if !strings.Contains(strings.Join(notes, "\n"), "expansions/op") {
 		t.Fatalf("notes missing the expansions/op delta:\n%s", strings.Join(notes, "\n"))
 	}
-	// Inside the threshold: noted but not failed.
+	// Work is deterministic, so even +5% (inside the threshold) fails.
 	cur = out(recM("BenchmarkSubRouter", map[string]float64{"ns/op": 1000, "expansions/op": 210}))
-	if regs, _ := diff(base, cur, 0.15); len(regs) != 0 {
-		t.Fatalf("+5%% expansions/op must pass, got %v", regs)
+	if regs, _ := diff(base, cur, 0.15); len(regs) != 1 {
+		t.Fatalf("+5%% expansions/op must fail, got %v", regs)
+	}
+	// Less work, or the same, passes.
+	for _, v := range []float64{200, 100} {
+		cur = out(recM("BenchmarkSubRouter", map[string]float64{"ns/op": 1000, "expansions/op": v}))
+		if regs, _ := diff(base, cur, 0.15); len(regs) != 0 {
+			t.Fatalf("expansions/op %v against 200 must pass, got %v", v, regs)
+		}
+	}
+}
+
+// TestWorkMetricExactUnderLooseThreshold: CI runs benchdiff at
+// -threshold 3.0 to absorb one-iteration ns/op noise; that threshold must
+// not reach the work metrics, where +1% is a real regression.
+func TestWorkMetricExactUnderLooseThreshold(t *testing.T) {
+	base := out(recM("BenchmarkSubRouter", map[string]float64{"ns/op": 1000, "expansions/op": 4.78}))
+	cur := out(recM("BenchmarkSubRouter", map[string]float64{"ns/op": 3900, "expansions/op": 4.78 * 1.01}))
+	regs, _ := diff(base, cur, 3.0)
+	if len(regs) != 1 || regs[0].Metric != "expansions/op" {
+		t.Fatalf("regs = %v, want exactly the +1%% expansions/op regression (ns/op +290%% is inside 3.0)", regs)
+	}
+	if s := regs[0].String(); !strings.Contains(s, "4.78 -> 4.8278") {
+		t.Fatalf("regression hides the fractional counts: %s", s)
 	}
 }
 
