@@ -504,6 +504,7 @@ func TestMapValidation(t *testing.T) {
 		{"empty grid", `{"kernel":"mvt","arch":"0x4r4"}`},
 		{"negative registers", `{"kernel":"mvt","arch":"2x2r-3"}`},
 		{"huge grid", `{"kernel":"mvt","arch":"4000x4000r4"}`},
+		{"huge ADL grid", `{"kernel":"mvt","arch_adl":"grid 4000 x 4000\n"}`},
 		{"huge unroll", `{"kernel_src":"kernel k\nc[i] = a[i] + b[i]\n","unroll":1099511627776,"arch":"4x4r4"}`},
 	}
 	for _, tc := range cases {
@@ -622,10 +623,12 @@ func TestKernelSrcMapping(t *testing.T) {
 }
 
 // slowMapBody is a mapping request that reliably runs for several
-// seconds: PF* on gramsch@8x8r4 fails a few IIs before committing, so
-// cancelling it mid-sweep exercises the teardown path, not a race with
-// natural completion.
-const slowMapBody = `{"kernel":"gramsch","arch":"8x8r4","mapper":"pathfinder","seed":1,"time_per_ii_ms":5000,"sweep_parallelism":4}`
+// seconds: PF* on the complex FIR kernel of examples/customkernel,
+// unrolled eight times, on 8x8r4 fails IIs 8 through 26 before
+// committing at 27 (about 7.5 s on two cores), so cancelling it
+// mid-sweep exercises the teardown path, not a race with natural
+// completion.
+const slowMapBody = `{"kernel_src":"kernel cfir\nparam cr, ci\n# complex multiply of sample by coefficient\nxr = sr[i] * cr - si[i] * ci\nxi = sr[i] * ci + si[i] * cr\n# accumulate real/imaginary channels (loop-carried dependencies)\naccr += xr\nacci += xi\noutr[i] = accr\nouti[i] = acci\n# power estimate uses the previous iteration's accumulators\np = accr@1 * accr@1 + acci@1 * acci@1\npow[i] = p\n","unroll":8,"arch":"8x8r4","mapper":"pathfinder","seed":1,"time_per_ii_ms":5000,"sweep_parallelism":4}`
 
 // waitInflightZero polls /metrics until the inflight gauge reads zero,
 // failing the test if teardown takes longer than the bound. A cancelled

@@ -98,6 +98,9 @@ func (b *builder) directive(fields []string) error {
 		if b.cols, err = atoiMin(args[1], 1); err != nil {
 			return fmt.Errorf("grid cols: %w", err)
 		}
+		if b.rows > arch.MaxNameSide || b.cols > arch.MaxNameSide {
+			return fmt.Errorf("grid %d x %d: at most %d x %d PEs", b.rows, b.cols, arch.MaxNameSide, arch.MaxNameSide)
+		}
 	case "regs":
 		if len(fields) != 2 {
 			return fmt.Errorf("regs takes one count")
@@ -105,6 +108,9 @@ func (b *builder) directive(fields []string) error {
 		v, err := atoiMin(fields[1], 0)
 		if err != nil {
 			return fmt.Errorf("regs: %w", err)
+		}
+		if v > arch.MaxNameRegs {
+			return fmt.Errorf("regs: %d above maximum %d", v, arch.MaxNameRegs)
 		}
 		b.regs = v
 	case "banks":

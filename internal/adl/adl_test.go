@@ -1,6 +1,7 @@
 package adl
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -98,11 +99,25 @@ func TestParseErrors(t *testing.T) {
 		"grid 2 x 2\nstrip mul keep 9\n", // keep outside grid
 		"quantum 7\n",                    // unknown directive
 		"cgra\n",                         // missing name
+		"grid 4000 x 4000\n",             // past arch.MaxNameSide
+		"grid 33 x 4\n",                  // rows past the cap
+		"grid 4 x 33\n",                  // cols past the cap
+		"regs 17\n",                      // past arch.MaxNameRegs
 	}
 	for _, src := range cases {
 		if _, err := Parse(src); err == nil {
 			t.Errorf("Parse(%q) succeeded, want error", src)
 		}
+	}
+}
+
+func TestParseAcceptsSizeCap(t *testing.T) {
+	c, err := Parse(fmt.Sprintf("grid %d x %d\nregs %d\n", arch.MaxNameSide, arch.MaxNameSide, arch.MaxNameRegs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Rows != arch.MaxNameSide || c.Cols != arch.MaxNameSide || c.Regs != arch.MaxNameRegs {
+		t.Fatalf("parsed: %+v", c)
 	}
 }
 

@@ -184,10 +184,10 @@ func New8x8(regs int) *CGRA {
 	return New(fmt.Sprintf("8x8r%d", regs), 8, 8, regs, 8, 0, 7)
 }
 
-// MaxNameSide and MaxNameRegs bound the grids ParseName builds: a
-// name is often untrusted input (a rewire-serve request), and the MRRG
-// of a fabric grows with rows × cols × registers × II, so "4000x4000r4"
-// must be an error rather than a 16M-PE build. Both are several times
+// MaxNameSide and MaxNameRegs bound the grids ParseName and adl.Parse
+// build: a name or an ADL text is often untrusted input (a rewire-serve
+// request), and the MRRG of a fabric grows with rows × cols × registers
+// × II, so "4000x4000r4" must be an error rather than a 16M-PE build. Both are several times
 // the largest fabric the evaluation uses (the 10x10r4 of the scaling
 // study) and the paper's 4-register files.
 const (

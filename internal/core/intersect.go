@@ -373,7 +373,7 @@ func (a *amender) fallbackCandidates(v int, out []pcand) []pcand {
 		base = asap[v]
 	}
 	w := placer.TimeWindow(a.sess, v, base, placer.DefaultSlack(a.sess.M.II))
-	for _, pl := range placer.Candidates(a.sess, v, w) {
+	for _, pl := range placer.Candidates(a.sess, v, w, nil) {
 		out = append(out, pcand{pe: pl.PE, T: pl.Time})
 	}
 	return out

@@ -26,9 +26,15 @@ type propagation struct {
 	srcTime int // anchor's absolute execution time
 	rounds  int
 
-	g       *mrrg.Graph
-	par     []int32 // state index -> predecessor state index (-1 = seed)
-	visited []bool
+	g *mrrg.Graph
+	// A flood state is a (slot, depth) pair, not a (node, depth) one:
+	// every MRRG arc advances the modulo time by one, so depth e fixes
+	// the time step (seedTime+e forward, seedTime-e backward, modulo II)
+	// and the slot alone names the resource — the router's compact-state
+	// argument, which makes the scratch II times smaller.
+	seedTime int
+	par      []int32 // state index -> predecessor state index (-1 = seed)
+	visited  []bool
 	// arrive[pe] lists tuples sorted by cycles; endState points at the
 	// final resource of the probe path for extraction. The table is
 	// epoch-stamped (the PR 1 router-scratch idiom): arrive[pe] is live
@@ -74,11 +80,17 @@ type arrival struct {
 }
 
 func (p *propagation) stateIndex(n mrrg.Node, e int) int32 {
-	return int32(int(n)*(p.rounds+1) + e)
+	return int32(p.g.Slot(n)*(p.rounds+1) + e)
 }
 
 func (p *propagation) stateNode(s int32) mrrg.Node {
-	return mrrg.Node(int(s) / (p.rounds + 1))
+	slot, e := int(s)/(p.rounds+1), int(s)%(p.rounds+1)
+	if !p.forward {
+		e = -e
+	}
+	ii := p.g.II
+	t := ((p.seedTime+e)%ii + ii) % ii
+	return mrrg.Node(slot*ii + t)
 }
 
 // cyclesAt returns the tuple cycle counts present at PE q.
@@ -241,7 +253,7 @@ func releaseProps(props map[int]*propagation) {
 	}
 }
 
-// Pools of flood scratch. A probe flood needs two NumNodes*(rounds+1)
+// Pools of flood scratch. A probe flood needs two NumSlots*(rounds+1)
 // arrays (parent pointers and a visited set); reallocating them per
 // anchor per amendment iteration dominated the allocation profile, so
 // both are pooled: the visited set returns as soon as its flood
@@ -342,7 +354,7 @@ func (a *amender) rounds(u *cluster, parents, children []int) int {
 // placements must later be verified by real routing.
 func (a *amender) propagate(s int, forward bool, rounds int) *propagation {
 	pl := a.sess.M.Place[s]
-	states := a.sess.Graph.NumNodes() * (rounds + 1)
+	states := a.sess.Graph.NumSlots() * (rounds + 1)
 	p := getProp(a.sess.M.Arch.NumPEs())
 	p.source = s
 	p.forward = forward
@@ -352,6 +364,7 @@ func (a *amender) propagate(s int, forward bool, rounds int) *propagation {
 	p.par = getInt32Scratch(states)
 	p.visited = getBoolScratch(states)
 	seed := a.sess.Graph.FU(pl.PE, pl.Time)
+	p.seedTime = a.sess.Graph.Time(seed)
 	si := p.stateIndex(seed, 0)
 	p.visited[si] = true
 	p.par[si] = -1

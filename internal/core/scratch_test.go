@@ -9,6 +9,8 @@ import (
 
 	"rewire/internal/arch"
 	"rewire/internal/kernels"
+	"rewire/internal/mapping"
+	"rewire/internal/route"
 	"rewire/internal/sweep"
 )
 
@@ -98,4 +100,30 @@ func TestConcurrentSessionsDeterministic(t *testing.T) {
 				k.kernel, k.seed, w, got[k])
 		}
 	}
+}
+
+// TestFloodScratchSize pins the probe flood's footprint: a forward flood
+// at the largest round budget on a 4x4r4 session at II 32 keeps one
+// parent pointer and one visited flag per (slot, depth) state, and must
+// stay under 64 KiB; the (node, depth) layout it replaced took II times
+// as much.
+func TestFloodScratchSize(t *testing.T) {
+	g := kernels.MustLoad("mvt")
+	sess := mapping.NewSession(mapping.New(g, arch.New4x4(4), 32))
+	defer sess.Close()
+	if err := sess.PlaceNode(0, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	router := route.ForSession(sess)
+	am := &amender{g: g, sess: sess, router: router}
+	rounds := router.MaxLat() - 1
+	p := am.propagate(0, true, rounds)
+	defer releaseProps(map[int]*propagation{0: p})
+	const perState = 4 + 1 // int32 parent + bool visited
+	got := len(p.par) * perState
+	dense := sess.Graph.NumNodes() * (rounds + 1) * perState
+	if got > 64<<10 {
+		t.Fatalf("flood scratch is %d B at 4x4r4 II 32, want <= %d (node-indexed layout: %d B)", got, 64<<10, dense)
+	}
+	t.Logf("scratch %d B, node-indexed layout %d B", got, dense)
 }

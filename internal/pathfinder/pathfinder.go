@@ -188,6 +188,11 @@ type perII struct {
 	beam   int          // candidates fully routed per placement; 0 = all
 	pace   *sweep.Pacer // amortised deadline + cancellation polling
 
+	// slots and cands are rankedCandidates' buffers, reused across
+	// placements (placeNode is never re-entered while cands is live).
+	slots []mapping.Placement
+	cands []candidate
+
 	tr   *trace.Tracer
 	span *trace.Span // parent for this II's phase spans
 	ctr  pfCounters
@@ -320,10 +325,17 @@ type candidate struct {
 // routes completely it commits the best partial candidate. Returns false
 // if no candidate slot existed at all.
 //
-// With beam == 0 every candidate is trial-routed and the one with the
-// minimal total route cost wins (the paper's PF*); with beam > 0 only
-// the top estimate-ranked candidates are routed and the first fully
-// routable one wins (the fast variant used for initial mappings).
+// With beam == 0 every candidate that can still win is trial-routed and
+// the one with the minimal total route cost wins (the paper's PF*); with
+// beam > 0 only the top estimate-ranked candidates are routed and the
+// first fully routable one wins (the fast variant used for initial
+// mappings).
+//
+// A fully routed candidate's cost is fixed by its placement (see
+// fullCost), so once some candidate has routed fully, a candidate whose
+// fullCost is not below it cannot win and is not trial-routed. It still
+// counts as tried and still polls the pacer, so the committed placement
+// and every counter except router expansions match routing it.
 func (p *perII) placeNode(v int, beam int) bool {
 	cands := p.rankedCandidates(v)
 	if len(cands) == 0 {
@@ -352,6 +364,9 @@ func (p *perII) placeNode(v int, beam int) bool {
 		}
 		p.res.PlacementsTried++
 		p.ctr.placementsTried.Add(1)
+		if bestFull.ok && p.fullCost(v, c.pl) >= bestFull.cost {
+			continue
+		}
 		if err := p.sess.PlaceNode(v, c.pl.PE, c.pl.Time); err != nil {
 			continue
 		}
@@ -386,13 +401,47 @@ func (p *perII) placeNode(v int, beam int) bool {
 	return commit(best.pl)
 }
 
-// routeCost totals the committed route lengths of v's incident edges.
+// routeCost totals the committed route lengths of v's incident edges
+// (plus one per edge), counting a self edge once per edge list.
 func (p *perII) routeCost(v int) int {
 	c := 0
 	for _, eid := range append(append([]int{}, p.g.InEdges(v)...), p.g.OutEdges(v)...) {
 		if p.sess.M.Routed(eid) {
 			c += len(p.sess.M.Routes[eid]) + 1
 		}
+	}
+	return c
+}
+
+// fullCost is routeCost(v) as it would stand with v at pl and every
+// incident edge to a placed endpoint routed. A route of latency lat
+// holds exactly lat-1 resources (Session.CheckPath), so each routed
+// edge adds its latency, which the placements alone fix; a self edge
+// appears in both edge lists, as in routeCost.
+func (p *perII) fullCost(v int, pl mapping.Placement) int {
+	g, m := p.g, p.sess.M
+	c := 0
+	for _, eid := range g.InEdges(v) {
+		e := g.Edges[eid]
+		from := pl.Time
+		if e.From != v {
+			if !m.Placed(e.From) {
+				continue
+			}
+			from = m.Place[e.From].Time
+		}
+		c += pl.Time - from + e.Dist*m.II
+	}
+	for _, eid := range g.OutEdges(v) {
+		e := g.Edges[eid]
+		to := pl.Time
+		if e.To != v {
+			if !m.Placed(e.To) {
+				continue
+			}
+			to = m.Place[e.To].Time
+		}
+		c += to - pl.Time + e.Dist*m.II
 	}
 	return c
 }
@@ -406,9 +455,9 @@ func (p *perII) rankedCandidates(v int) []candidate {
 	if w.Empty() {
 		return nil
 	}
-	slots := placer.Candidates(p.sess, v, w)
-	cands := make([]candidate, 0, len(slots))
-	for _, pl := range slots {
+	p.slots = placer.Candidates(p.sess, v, w, p.slots[:0])
+	cands := p.cands[:0]
+	for _, pl := range p.slots {
 		est, feasible := p.estimate(v, pl)
 		if !feasible {
 			continue
@@ -416,6 +465,7 @@ func (p *perII) rankedCandidates(v int) []candidate {
 		cands = append(cands, candidate{pl: pl, est: est + p.rng.Float64()*0.1})
 	}
 	sort.Slice(cands, func(i, j int) bool { return cands[i].est < cands[j].est })
+	p.cands = cands
 	return cands
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"rewire/internal/dfg"
 	"rewire/internal/mapping"
+	"rewire/internal/mrrg"
 )
 
 // Window is the inclusive absolute-time range a node may execute in.
@@ -62,16 +63,40 @@ func TimeWindow(s *mapping.Session, v, base, slack int) Window {
 	return Window{Lo: lo, Hi: hi}
 }
 
-// Candidates lists every (PE, T) slot in the window where v could be
-// placed under the current occupancy (free compatible FU, bank port for
-// memory ops). The order is deterministic: time-major, then PE index.
-func Candidates(s *mapping.Session, v int, w Window) []mapping.Placement {
-	var out []mapping.Placement
-	numPEs := s.M.Arch.NumPEs()
+// Candidates appends to out every (PE, T) slot in the window where v
+// could be placed under the current occupancy — exactly the slots for
+// which Session.CanPlace holds (free compatible FU, bank port for memory
+// ops) — and returns the extended slice. The order is deterministic:
+// time-major, then PE index.
+//
+// The op class and the supporting PEs are resolved once per call, and
+// each time's modulo step and bank-port check once per T, not once per
+// slot. Callers on a hot path keep one out buffer and pass it back as
+// out[:0]; with a warm buffer the call does not allocate.
+func Candidates(s *mapping.Session, v int, w Window, out []mapping.Placement) []mapping.Placement {
+	a := s.M.Arch
+	op := s.M.DFG.Nodes[v].Op
+	cl := mapping.ClassOf(op)
+	// Fabrics up to 16x16 keep the PE list on the stack.
+	var peBuf [256]int32
+	pes := peBuf[:0]
+	for pe := 0; pe < a.NumPEs(); pe++ {
+		if a.Supports(pe, cl) {
+			pes = append(pes, int32(pe))
+		}
+	}
+	ii := s.M.II
 	for T := w.Lo; T <= w.Hi; T++ {
-		for pe := 0; pe < numPEs; pe++ {
-			if s.CanPlace(v, pe, T) {
-				out = append(out, mapping.Placement{PE: pe, Time: T})
+		t := T % ii
+		if t < 0 {
+			t += ii
+		}
+		if op.IsMem() && s.State.FreeBankPort(t) == mrrg.Invalid {
+			continue
+		}
+		for _, pe := range pes {
+			if s.State.Free(s.Graph.FU(int(pe), t)) {
+				out = append(out, mapping.Placement{PE: int(pe), Time: T})
 			}
 		}
 	}

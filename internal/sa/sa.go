@@ -164,6 +164,7 @@ type annealer struct {
 	asap   []int
 	slack  int
 	moves  int
+	cands  []mapping.Placement // placer.Candidates buffer, reused per draw
 
 	tr   *trace.Tracer
 	span *trace.Span // this restart's anneal span
@@ -347,11 +348,11 @@ func (an *annealer) initialRandom() {
 		if w.Empty() {
 			continue
 		}
-		cands := placer.Candidates(an.sess, v, w)
-		if len(cands) == 0 {
+		an.cands = placer.Candidates(an.sess, v, w, an.cands[:0])
+		if len(an.cands) == 0 {
 			continue
 		}
-		pl := cands[an.rng.Intn(len(cands))]
+		pl := an.cands[an.rng.Intn(len(an.cands))]
 		an.res.PlacementsTried++
 		an.ctr.placementsTried.Add(1)
 		_ = an.sess.PlaceNode(v, pl.PE, pl.Time)
@@ -384,8 +385,8 @@ func (an *annealer) relocateMove(v int) (int, func()) {
 		w = placer.Window{Lo: an.asap[v], Hi: an.asap[v] + an.slack}
 	}
 	if !w.Empty() {
-		if cands := placer.Candidates(an.sess, v, w); len(cands) > 0 {
-			pl := cands[an.rng.Intn(len(cands))]
+		if an.cands = placer.Candidates(an.sess, v, w, an.cands[:0]); len(an.cands) > 0 {
+			pl := an.cands[an.rng.Intn(len(an.cands))]
 			an.res.PlacementsTried++
 			an.ctr.placementsTried.Add(1)
 			_ = an.sess.PlaceNode(v, pl.PE, pl.Time)
