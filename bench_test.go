@@ -436,23 +436,21 @@ func BenchmarkSubValidate(b *testing.B) {
 	}
 }
 
-// BenchmarkSubDiagDisabled pins the disabled-diagnostics contract: with
-// no collector and no progress bus (the Options zero value), every
-// instrumentation point the mappers hit per negotiation step — attempt
-// handle, round tick, contention charge, progress publish — must cost a
-// pointer check and nothing else. benchdiff gates allocs/op at 0.
+// BenchmarkSubDiagDisabled pins the disabled-observer contract: with no
+// logger, collector or progress bus (the Options zero value) the run
+// observer is nil, and every boundary the mappers hit per attempt and
+// negotiation step — attempt start, round, contention charge, attempt
+// end — must cost a pointer check and nothing else. benchdiff gates
+// allocs/op at 0.
 func BenchmarkSubDiagDisabled(b *testing.B) {
 	b.ReportAllocs()
-	var dc *diag.Collector
-	var bus *diag.Bus
+	var o *diag.Observer
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		att := dc.StartII(4, 1)
-		bus.Publish(diag.Event{Type: "attempt_start", II: 4, Attempt: 1})
-		att.Round(7)
+		att := o.AttemptStart(4, 1)
+		att.Round(i, 7, true)
 		att.Contend(mrrg.Node(i&1023), mrrg.Net(i&63))
-		att.Finish(false, nil)
-		bus.Publish(diag.Event{Type: "attempt_end", II: 4, Attempt: 1})
+		att.End(false, false, i, nil)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"time"
 
-	"rewire/internal/diag"
 	"rewire/internal/mapping"
 	"rewire/internal/route"
 	"rewire/internal/stats"
@@ -33,10 +32,8 @@ func Amend(m *mapping.Mapping, opt Options) (*mapping.Mapping, stats.Result, err
 	root := tr.StartSpan(nil, "rewire.amend").
 		WithStr("kernel", m.DFG.Name).WithStr("arch", m.Arch.Name).WithInt("ii", int64(m.II))
 	defer root.End()
-	opt.Diag.Begin(m.DFG, m.Arch, "Rewire(amend)", res.MII)
-	opt.Progress.Publish(diag.Event{Type: "run_start", Mapper: "rewire",
-		Kernel: m.DFG.Name, Arch: m.Arch.Name, MII: res.MII})
-	att := opt.Diag.StartII(m.II, 0)
+	run := opt.Obs.RunStart(m.DFG, m.Arch, "rewire", res.Mapper, res.MII, "ii", m.II)
+	att := run.AttemptStart(m.II, 0)
 	am := &amender{
 		g:      m.DFG,
 		sess:   sess,
@@ -49,20 +46,13 @@ func Amend(m *mapping.Mapping, opt Options) (*mapping.Mapping, stats.Result, err
 		ctr:    newCounters(tr),
 		span:   root,
 		att:    att,
-		bus:    opt.Progress,
 	}
 	am.router.Instrument(tr)
 	ok := am.amend()
 	if !ok {
 		route.AttributeFailures(att, am.sess, am.router)
 	}
-	att.Finish(ok, am.sess)
-	committedII := 0
-	if ok {
-		committedII = m.II
-	}
-	opt.Diag.Commit(ok, committedII)
-	opt.Progress.Publish(diag.Event{Type: "run_end", II: committedII, Outcome: diag.Outcome(ok, false)})
+	att.End(ok, false, 0, am.sess)
 	// Count router work on failure too (the audit contract: effort
 	// counters are filled on every path, not only successes).
 	res.RouterExpansions = am.router.Expansions
@@ -70,6 +60,7 @@ func Amend(m *mapping.Mapping, opt Options) (*mapping.Mapping, stats.Result, err
 	defer am.sess.Close()
 	if !ok {
 		res.Duration = time.Since(start)
+		run.RunEnd(res, "")
 		return nil, res, fmt.Errorf("rewire: could not amend %q on %s at II=%d within %s",
 			m.DFG.Name, m.Arch.Name, m.II, opt.TimePerII)
 	}
@@ -79,5 +70,6 @@ func Amend(m *mapping.Mapping, opt Options) (*mapping.Mapping, stats.Result, err
 	if err := mapping.Validate(am.sess.M); err != nil {
 		panic("rewire: amend produced invalid mapping: " + err.Error())
 	}
+	run.RunEnd(res, "")
 	return am.sess.M, res, nil
 }

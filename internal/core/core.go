@@ -78,11 +78,6 @@ type Options struct {
 	// DisableCyclePruning turns off the execution-cycle constraint checks
 	// of Algorithm 2, leaving all pruning to routing verification.
 	DisableCyclePruning bool
-	// SerialPropagation runs the per-anchor probe floods on the calling
-	// goroutine instead of the worker pool. The floods are bit-identical
-	// either way; the switch exists for the determinism test and for
-	// single-core profiling.
-	SerialPropagation bool
 }
 
 func (o Options) withDefaults() Options {
@@ -160,8 +155,7 @@ func AttemptII(ctx context.Context, g *dfg.Graph, a *arch.CGRA, ii int, seed int
 		aSpan := tr.StartSpan(iiSpan, "attempt").WithInt("attempt", attempt)
 		m := mapping.New(g, a, ii)
 		sess, router := pathfinder.BuildInitialTraced(ctx, m, seed^(attempt<<16), &st, tr, aSpan)
-		att := opt.Diag.StartLane(ii, int(attempt), opt.Lane)
-		opt.Progress.Publish(diag.Event{Type: "attempt_start", II: ii, Attempt: int(attempt), Lane: opt.Lane})
+		att := opt.Obs.AttemptStart(ii, int(attempt))
 		am := &amender{
 			g:      g,
 			sess:   sess,
@@ -174,7 +168,6 @@ func AttemptII(ctx context.Context, g *dfg.Graph, a *arch.CGRA, ii int, seed int
 			ctr:    ctr,
 			span:   aSpan,
 			att:    att,
-			bus:    opt.Progress,
 		}
 		ok := am.amend()
 		// Router work is accumulated per attempt — failed attempts
@@ -188,12 +181,7 @@ func AttemptII(ctx context.Context, g *dfg.Graph, a *arch.CGRA, ii int, seed int
 			// fighting over (diagnostic-only, nil-safe).
 			route.AttributeFailures(att, am.sess, am.router)
 		}
-		att.Finish(ok, am.sess)
-		if ctx.Err() != nil {
-			att.Cancelled()
-		}
-		opt.Progress.Publish(diag.Event{Type: "attempt_end", II: ii, Attempt: int(attempt),
-			Outcome: diag.Outcome(ok, ctx.Err() != nil), Lane: opt.Lane})
+		att.End(ok, ctx.Err() != nil, 0, am.sess)
 		if !ok {
 			am.sess.Close()
 			continue
@@ -207,9 +195,6 @@ func AttemptII(ctx context.Context, g *dfg.Graph, a *arch.CGRA, ii int, seed int
 		return out, st, true
 	}
 	iiSpan.WithBool("ok", false).End()
-	if lg := opt.Logger; lg.On() {
-		lg.Debug("ii exhausted", "mapper", "rewire", "kernel", g.Name, "arch", a.Name, "ii", ii)
-	}
 	return nil, st, false
 }
 
@@ -236,10 +221,9 @@ type amender struct {
 	span *trace.Span // parent for cluster_amendment spans
 	cur  *trace.Span // the open cluster_amendment span (parent of phase spans)
 
-	// att/bus collect the post-mortem and progress stream; both are nil
-	// (free no-ops) when diagnostics are disabled.
+	// att feeds the attempt's post-mortem record and progress stream;
+	// nil (free no-ops) when both are disabled.
 	att *diag.IIAttempt
-	bus *diag.Bus
 
 	// scr is the pooled per-amendment working memory (see scratch.go),
 	// drawn lazily so tests can call the phase methods directly without
@@ -274,9 +258,7 @@ func (a *amender) amend() bool {
 			return true
 		}
 		a.amendRounds++
-		a.att.Round(len(ill))
-		a.bus.Publish(diag.Event{Type: "round", II: a.sess.M.II,
-			Round: a.amendRounds, Ill: len(ill)})
+		a.att.Round(a.amendRounds, len(ill), true)
 		u := a.buildCluster(ill)
 		if !a.mapCluster(u) {
 			// Keep the rip-ups: a failed cluster leaves its nodes unmapped,

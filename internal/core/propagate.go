@@ -202,7 +202,7 @@ func (a *amender) propagateAll(u *cluster) map[int]*propagation {
 	if workers > len(tasks) {
 		workers = len(tasks)
 	}
-	if a.opt.SerialPropagation || workers <= 1 {
+	if workers <= 1 {
 		for i, t := range tasks {
 			runTask(i, t)
 		}

@@ -34,6 +34,14 @@ func illAmender(t *testing.T, kernel string, seed int64) *amender {
 	}
 }
 
+// serially runs f under GOMAXPROCS(1), where propagateAll floods every
+// anchor on the calling goroutine: the serial reference the worker pool
+// must reproduce.
+func serially[T any](f func() T) T {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	return f()
+}
+
 // TestPropagateAllParallelMatchesSerial floods the same cluster with the
 // worker pool and serially and demands bit-identical propagations: same
 // anchor keys, same tuple sets per PE, and same extracted probe paths
@@ -59,8 +67,7 @@ func TestPropagateAllParallelMatchesSerial(t *testing.T) {
 		uS := amS.buildCluster(ill)
 		uP := amP.buildCluster(amP.sess.IllMapped())
 
-		amS.opt.SerialPropagation = true
-		serial := amS.propagateAll(uS)
+		serial := serially(func() map[int]*propagation { return amS.propagateAll(uS) })
 		parallel := amP.propagateAll(uP)
 
 		if len(serial) != len(parallel) {
@@ -168,8 +175,9 @@ func TestMapWithParallelPropagationMatchesSerial(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	g := kernels.MustLoad("doitgen")
 	a := arch.New4x4(4)
-	_, serial := Map(g, a, Options{RunOptions: sweep.RunOptions{Seed: 5, TimePerII: time.Hour}, SerialPropagation: true})
-	_, parallel := Map(g, a, Options{RunOptions: sweep.RunOptions{Seed: 5, TimePerII: time.Hour}})
+	opt := Options{RunOptions: sweep.RunOptions{Seed: 5, TimePerII: time.Hour}}
+	serial := serially(func() stats.Result { _, r := Map(g, a, opt); return r })
+	_, parallel := Map(g, a, opt)
 	if serial.Success != parallel.Success || serial.II != parallel.II {
 		t.Fatalf("II differs: serial %+v, parallel %+v", serial, parallel)
 	}

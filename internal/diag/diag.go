@@ -7,17 +7,22 @@
 // with the DFG operations that fought over them, the unroutable-edge
 // list, and the amendment-round convergence series.
 //
-// Like internal/trace and internal/obs, the whole package is nil-safe
-// and free when off: a nil *Collector (and the nil *IIAttempt handles
-// it hands out) makes every recording call a single pointer check with
-// zero allocations, so instrumented mapper code needs no guards. A live
-// Collector is safe for the speculative II sweep: StartII may be called
-// from concurrent attempt goroutines; each IIAttempt handle is then
-// owned by its attempt goroutine alone.
+// The mappers reach the Collector, the progress Bus and the run logger
+// through one run-scoped Observer (observer.go). Like internal/trace
+// and internal/obs, the whole package is nil-safe and free when off: a
+// nil *Observer (and the nil *IIAttempt handles it hands out) makes
+// every boundary call a single pointer check with zero allocations, so
+// instrumented mapper code needs no guards. A live Collector is safe
+// for the speculative II sweep: attempts may start from concurrent
+// goroutines; each IIAttempt handle is then owned by its attempt
+// goroutine alone.
 package diag
 
 import (
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -33,7 +38,7 @@ const SchemaID = "rewire-report-v1"
 // Caps keep a pathological run's diagnostics bounded: the convergence
 // series stores at most maxConvergence points per attempt (later rounds
 // still count via Rounds), each contested resource remembers at most
-// maxContenders distinct nets, and Finish records at most
+// maxContenders distinct nets, and End records at most
 // maxUnroutable unroutable edges per attempt.
 const (
 	maxConvergence = 512
@@ -45,8 +50,8 @@ const (
 )
 
 // Collector accumulates diagnostics across one mapping run. Create one
-// with NewCollector and pass it through Options.Diag; nil disables
-// collection everywhere.
+// with NewCollector and hand it to NewObserver; nil disables collection
+// everywhere.
 type Collector struct {
 	mu       sync.Mutex
 	kernel   string
@@ -61,18 +66,16 @@ type Collector struct {
 	cached   bool
 	ii       int
 	winner   string
-	started  time.Time
 }
 
 // NewCollector returns an enabled collector.
-func NewCollector() *Collector { return &Collector{started: time.Now()} }
+func NewCollector() *Collector { return &Collector{} }
 
 // Enabled reports whether diagnostics are being collected.
 func (c *Collector) Enabled() bool { return c != nil }
 
-// Begin records the run's identity; each mapper calls it once at map
-// start. Safe on nil.
-func (c *Collector) Begin(g *dfg.Graph, a *arch.CGRA, mapper string, mii int) {
+// begin records the run's identity. Safe on nil.
+func (c *Collector) begin(g *dfg.Graph, a *arch.CGRA, mapper string, mii int) {
 	if c == nil {
 		return
 	}
@@ -83,60 +86,28 @@ func (c *Collector) Begin(g *dfg.Graph, a *arch.CGRA, mapper string, mii int) {
 	c.mu.Unlock()
 }
 
-// Commit records the run's final outcome. Safe on nil.
-func (c *Collector) Commit(success bool, ii int) {
+// commit records the run's final outcome: success, the committed II,
+// the portfolio backend whose lane produced the mapping (empty for a
+// single mapper) and whether the result cache served the run. Safe on
+// nil.
+func (c *Collector) commit(success bool, ii int, winner string, cached bool) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
-	c.success, c.ii = success, ii
+	c.success, c.ii, c.winner, c.cached = success, ii, winner, cached
 	c.mu.Unlock()
 }
 
-// MarkCached records that the run was served from the result cache:
-// the report then describes the populating compile (or nothing, when
-// the mappers never ran) with Cached set. Safe on nil.
-func (c *Collector) MarkCached() {
+// add registers an attempt in the timeline. Only the registration takes
+// the collector lock, so concurrent sweep attempts never contend while
+// recording. Safe on nil.
+func (c *Collector) add(a *IIAttempt) {
 	if c == nil {
 		return
 	}
-	c.mu.Lock()
-	c.cached = true
-	c.mu.Unlock()
-}
-
-// StartII opens one II attempt's diagnostic handle. The handle is
-// single-goroutine (owned by the attempt); only its registration here
-// takes the collector lock, so concurrent sweep attempts never contend
-// while recording. Safe on nil (returns a nil handle, whose methods are
-// all no-ops).
-func (c *Collector) StartII(ii, attempt int) *IIAttempt {
-	return c.StartLane(ii, attempt, "")
-}
-
-// StartLane is StartII with a portfolio lane tag: the attempt's row in
-// the report timeline carries the backend label, so racing lanes at the
-// same II stay distinguishable. An empty lane is a plain StartII. Safe
-// on nil.
-func (c *Collector) StartLane(ii, attempt int, lane string) *IIAttempt {
-	if c == nil {
-		return nil
-	}
-	a := &IIAttempt{ii: ii, attempt: attempt, lane: lane, started: time.Now(), c: c}
 	c.mu.Lock()
 	c.attempts = append(c.attempts, a)
-	c.mu.Unlock()
-	return a
-}
-
-// SetWinner records which portfolio backend produced the committed
-// mapping; single-mapper runs never call it. Safe on nil.
-func (c *Collector) SetWinner(backend string) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.winner = backend
 	c.mu.Unlock()
 }
 
@@ -146,14 +117,19 @@ type resStat struct {
 	contenders []mrrg.Net // distinct, capped at maxContenders
 }
 
-// IIAttempt records one II attempt's diagnostics. All methods are
-// nil-safe no-ops, so mapper code calls them unconditionally.
+// IIAttempt is one attempt's observer handle (see
+// Observer.AttemptStart): its post-mortem record when a collector is
+// live, and its progress-event source when a bus is. A nil handle is
+// the disabled one; all methods are nil-safe no-ops, so mapper code
+// calls them unconditionally. The handle is owned by its attempt's
+// goroutine.
 type IIAttempt struct {
 	ii      int
 	attempt int
 	lane    string
 	started time.Time
-	c       *Collector
+	c       *Collector // nil when only the bus is live
+	bus     *Bus
 
 	rounds      int
 	convergence []int
@@ -162,28 +138,39 @@ type IIAttempt struct {
 	done    bool
 	outcome string
 	durMS   float64
-	// Resolved at Finish, while the session is still alive.
+	// Resolved at End, while the session is still alive.
 	resources  []ResourceReport
 	unroutable []EdgeReport
 }
 
 // Round records one negotiation round (an amendment round, a PF* remap
 // iteration, an SA routing attempt) and the ill-mapped node count after
-// it — the convergence series.
-func (a *IIAttempt) Round(ill int) {
+// it — the convergence series — and, when publish is set, publishes it
+// as a round event numbered round.
+func (a *IIAttempt) Round(round, ill int, publish bool) {
 	if a == nil {
 		return
 	}
-	a.rounds++
-	if len(a.convergence) < maxConvergence {
-		a.convergence = append(a.convergence, ill)
+	if a.c != nil {
+		a.rounds++
+		if len(a.convergence) < maxConvergence {
+			a.convergence = append(a.convergence, ill)
+		}
+	}
+	if publish {
+		a.bus.Publish(Event{Type: "round", II: a.ii, Round: round, Ill: ill})
 	}
 }
+
+// Diagnosing reports whether the attempt feeds a post-mortem collector:
+// diagnostic-only work (failure attribution, ill-node scans) runs only
+// then.
+func (a *IIAttempt) Diagnosing() bool { return a != nil && a.c != nil }
 
 // Contend charges one unit of contention on resource n by net: the
 // resource was ripped, history-bumped, or found blocking a route.
 func (a *IIAttempt) Contend(n mrrg.Node, net mrrg.Net) {
-	if a == nil {
+	if !a.Diagnosing() {
 		return
 	}
 	if a.contested == nil {
@@ -205,15 +192,28 @@ func (a *IIAttempt) Contend(n mrrg.Node, net mrrg.Net) {
 	}
 }
 
-// Finish closes the attempt: it resolves every contested resource's
-// label, kind, PE and final occupant against the still-live session,
-// and on failure records the unroutable edges (placed endpoints, no
-// route). Call it before sess.Close(); after Finish the session may be
-// discarded. Safe on nil.
-func (a *IIAttempt) Finish(ok bool, sess *mapping.Session) {
+// End closes the attempt. On the collector it resolves every contested
+// resource's label, kind, PE and final occupant against the still-live
+// session, records the unroutable edges (placed endpoints, no route) of
+// a failure, and labels an attempt torn down by the sweep (a lower II
+// succeeded) as cancelled. On the bus it publishes attempt_end; rounds,
+// when non-zero, is the round count the event carries. Call it before
+// sess.Close(). Safe on nil.
+func (a *IIAttempt) End(ok, cancelled bool, rounds int, sess *mapping.Session) {
 	if a == nil {
 		return
 	}
+	if a.c != nil {
+		a.finish(ok, sess)
+		if cancelled && a.outcome == "failed" {
+			a.outcome = "cancelled"
+		}
+	}
+	a.bus.Publish(Event{Type: "attempt_end", II: a.ii, Attempt: a.attempt, Round: rounds,
+		Outcome: Outcome(ok, cancelled), Lane: a.lane})
+}
+
+func (a *IIAttempt) finish(ok bool, sess *mapping.Session) {
 	a.done = true
 	a.durMS = float64(time.Since(a.started).Microseconds()) / 1e3
 	a.outcome = "failed"
@@ -263,18 +263,6 @@ func (a *IIAttempt) Finish(ok bool, sess *mapping.Session) {
 			})
 		}
 		sort.Slice(a.unroutable, func(i, j int) bool { return a.unroutable[i].Edge < a.unroutable[j].Edge })
-	}
-}
-
-// Cancelled marks a speculative attempt that was cancelled by the sweep
-// (a lower II succeeded); its diagnostics are kept but labelled so the
-// timeline reads honestly. Safe on nil.
-func (a *IIAttempt) Cancelled() {
-	if a == nil || !a.done {
-		return
-	}
-	if a.outcome == "failed" {
-		a.outcome = "cancelled"
 	}
 }
 
@@ -413,7 +401,7 @@ func (c *Collector) ReportTopK(k int) *Report {
 				m.FinalOccupant = rr.FinalOccupant
 			}
 			for _, cd := range rr.Contenders {
-				if !containsStr(m.Contenders, cd) && len(m.Contenders) < maxContenders {
+				if !slices.Contains(m.Contenders, cd) && len(m.Contenders) < maxContenders {
 					m.Contenders = append(m.Contenders, cd)
 				}
 			}
@@ -467,12 +455,11 @@ func (r *Report) Summary() *Summary {
 		if i == 3 {
 			break
 		}
-		line := rr.Resource
+		line := rr.Resource + " (" + strconv.Itoa(rr.TimesContested) + "x"
 		if len(rr.Contenders) > 0 {
-			line += " (" + itoa(rr.TimesContested) + "x by " + joinMax(rr.Contenders, 4) + ")"
-		} else {
-			line += " (" + itoa(rr.TimesContested) + "x)"
+			line += " by " + strings.Join(rr.Contenders[:min(len(rr.Contenders), 4)], ", ")
 		}
+		line += ")"
 		s.TopContested = append(s.TopContested, line)
 	}
 	return s
@@ -485,50 +472,4 @@ func sortResources(rs []ResourceReport) {
 		}
 		return rs[i].Resource < rs[j].Resource
 	})
-}
-
-func containsStr(ss []string, s string) bool {
-	for _, v := range ss {
-		if v == s {
-			return true
-		}
-	}
-	return false
-}
-
-func joinMax(ss []string, n int) string {
-	if len(ss) > n {
-		ss = ss[:n]
-	}
-	out := ""
-	for i, s := range ss {
-		if i > 0 {
-			out += ", "
-		}
-		out += s
-	}
-	return out
-}
-
-// itoa avoids strconv for the two tiny call sites.
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
 }

@@ -12,6 +12,7 @@ import (
 	"rewire/internal/dfg"
 	"rewire/internal/mapping"
 	"rewire/internal/mrrg"
+	"rewire/internal/stats"
 )
 
 // tinyRun builds a 2-node mapping session with one contested resource
@@ -35,15 +36,22 @@ func tinyRun(t *testing.T) (*dfg.Graph, *arch.CGRA, *mapping.Session) {
 }
 
 func TestDisabledNilZeroAlloc(t *testing.T) {
+	var o *Observer
 	var c *Collector
 	var b *Bus
-	att := c.StartII(2, 0)
+	if NewObserver(nil, nil, nil) != nil {
+		t.Fatal("an observer without handles is not the disabled (nil) one")
+	}
 	n := testing.AllocsPerRun(1000, func() {
-		c.Begin(nil, nil, "", 0)
-		c.Commit(false, 0)
-		att.Round(3)
+		run := o.RunStart(nil, nil, "", "", 0)
+		run.IIStart(2, "")
+		att := run.Lane("sa").AttemptStart(2, 0)
+		att.Round(1, 3, true)
 		att.Contend(mrrg.Node(7), mrrg.Net(1))
-		att.Finish(false, nil)
+		att.End(false, false, 1, nil)
+		run.IIEnd(2, "", "failed")
+		run.RunEnd(stats.Result{}, "")
+		run.Served(nil, nil, "", stats.Result{})
 		b.Publish(Event{Type: "round", II: 2, Ill: 3})
 	})
 	if n != 0 {
@@ -69,17 +77,17 @@ func TestCollectorReport(t *testing.T) {
 	g, cgra, sess := tinyRun(t)
 	defer sess.Close()
 	c := NewCollector()
-	c.Begin(g, cgra, "PF*", 2)
+	run := NewObserver(nil, c, nil).RunStart(g, cgra, "pathfinder", "PF*", 2)
 
-	att := c.StartII(2, 0)
-	att.Round(2)
-	att.Round(1)
+	att := run.AttemptStart(2, 0)
+	att.Round(1, 2, false)
+	att.Round(2, 1, false)
 	fu := sess.Graph.FU(0, 0)
 	att.Contend(fu, mrrg.Net(1))
 	att.Contend(fu, mrrg.Net(0))
 	att.Contend(fu, mrrg.Net(1))
-	att.Finish(false, sess)
-	c.Commit(false, 0)
+	att.End(false, false, 0, sess)
+	run.RunEnd(stats.Result{MII: 2}, "")
 
 	r := c.Report()
 	if r.Schema != SchemaID || r.Kernel != "tiny" || r.Mapper != "PF*" || r.Success {
@@ -121,13 +129,13 @@ func TestReportMergesAcrossAttemptsTopK(t *testing.T) {
 	g, cgra, sess := tinyRun(t)
 	defer sess.Close()
 	c := NewCollector()
-	c.Begin(g, cgra, "Rewire", 2)
+	run := NewObserver(nil, c, nil).RunStart(g, cgra, "rewire", "Rewire", 2)
 	fu := sess.Graph.FU(0, 0)
 	for i := 0; i < 3; i++ {
-		att := c.StartII(2+i, 0)
+		att := run.AttemptStart(2+i, 0)
 		att.Contend(fu, mrrg.Net(0))
 		att.Contend(sess.Graph.FU(i+1, 0), mrrg.Net(1))
-		att.Finish(false, sess)
+		att.End(false, false, 0, sess)
 	}
 	r := c.ReportTopK(2)
 	if len(r.Contested) != 2 {
@@ -145,16 +153,16 @@ func TestStartIIConcurrent(t *testing.T) {
 	g, cgra, sess := tinyRun(t)
 	defer sess.Close()
 	c := NewCollector()
-	c.Begin(g, cgra, "SA", 2)
+	run := NewObserver(nil, c, nil).RunStart(g, cgra, "sa", "SA", 2)
 	var wg sync.WaitGroup
 	for ii := 2; ii < 10; ii++ {
 		wg.Add(1)
 		go func(ii int) {
 			defer wg.Done()
-			att := c.StartII(ii, 0)
-			att.Round(1)
+			att := run.AttemptStart(ii, 0)
+			att.Round(1, 1, false)
 			att.Contend(mrrg.Node(ii), mrrg.Net(0))
-			att.Finish(false, nil)
+			att.End(false, false, 0, nil)
 		}(ii)
 	}
 	wg.Wait()
@@ -266,11 +274,11 @@ func TestBusWriteJSONL(t *testing.T) {
 
 func TestConvergenceSeriesCapped(t *testing.T) {
 	c := NewCollector()
-	att := c.StartII(2, 0)
+	att := NewObserver(nil, c, nil).AttemptStart(2, 0)
 	for i := 0; i < maxConvergence+100; i++ {
-		att.Round(i)
+		att.Round(i, i, false)
 	}
-	att.Finish(false, nil)
+	att.End(false, false, 0, nil)
 	r := c.Report()
 	if r.Attempts[0].Rounds != maxConvergence+100 {
 		t.Fatalf("rounds counter %d, want %d", r.Attempts[0].Rounds, maxConvergence+100)
@@ -281,14 +289,12 @@ func TestConvergenceSeriesCapped(t *testing.T) {
 }
 
 func BenchmarkDiagDisabled(b *testing.B) {
-	var c *Collector
-	var bus *Bus
-	att := c.StartII(2, 0)
+	var o *Observer
+	att := o.AttemptStart(2, 0)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		att.Round(1)
+		att.Round(i, 1, true)
 		att.Contend(mrrg.Node(3), mrrg.Net(1))
-		bus.Publish(Event{Type: "round", II: 2})
 	}
 }
 

@@ -231,16 +231,19 @@ func RunDFG(mapper string, g *dfg.Graph, a *arch.CGRA, cfg Config) (*mapping.Map
 		m      *mapping.Mapping
 		res    stats.Result
 		cached bool
+		o      = diag.NewObserver(cfg.Logger, cfg.Diag, nil)
 	)
 	if cfg.Cache != nil {
 		key := resultcache.KeyFor(g, a, cacheRequest(mapper, cfg))
 		var out resultcache.Outcome
 		m, res, out, _ = cfg.Cache.Do(context.Background(), key, func() (*mapping.Mapping, stats.Result) {
-			return runDFGUncached(mapper, g, a, cfg)
+			return runDFGUncached(mapper, g, a, cfg, o)
 		})
-		cached = out.Hit || out.Shared
+		if cached = out.Hit || out.Shared; cached {
+			o.Served(g, a, mapper, res)
+		}
 	} else {
-		m, res = runDFGUncached(mapper, g, a, cfg)
+		m, res = runDFGUncached(mapper, g, a, cfg, o)
 	}
 	appendLedger(cfg, g, a, mapper, res, cached)
 	return m, res
@@ -280,15 +283,14 @@ func appendLedger(cfg Config, g *dfg.Graph, a *arch.CGRA, mapper string, res sta
 
 // runDFGUncached runs the selected mapper's plan from the backend
 // table through the one mapper driver.
-func runDFGUncached(mapper string, g *dfg.Graph, a *arch.CGRA, cfg Config) (*mapping.Mapping, stats.Result) {
+func runDFGUncached(mapper string, g *dfg.Graph, a *arch.CGRA, cfg Config, o *diag.Observer) (*mapping.Mapping, stats.Result) {
 	plan, err := portfolio.Plan(mapper, cfg.PortfolioBackends,
 		cfg.SweepParallelism, cfg.PortfolioParallelism)
 	if err != nil {
 		panic("eval: " + err.Error())
 	}
 	return sweep.Drive(context.Background(), g, a, plan, sweep.RunOptions{
-		Seed: cfg.Seed, MaxII: cfg.MaxII, TimePerII: cfg.TimePerII,
-		Tracer: cfg.Tracer, Logger: cfg.Logger, Diag: cfg.Diag,
+		Seed: cfg.Seed, MaxII: cfg.MaxII, TimePerII: cfg.TimePerII, Tracer: cfg.Tracer, Obs: o,
 	})
 }
 

@@ -75,10 +75,10 @@ const maxAttributedEdges = 16
 // occupants blocking them into its diagnostics: for each unrouted edge
 // between placed endpoints (capped), the relaxed search's blockers are
 // charged as contention with the blocking occupant named as the
-// contender. Call it on a failed attempt before att.Finish; it is a
-// no-op when diagnostics are disabled.
+// contender. Call it on a failed attempt before att.End; it is a
+// no-op unless the attempt feeds a post-mortem collector.
 func AttributeFailures(att *diag.IIAttempt, s *mapping.Session, r *Router) {
-	if att == nil {
+	if !att.Diagnosing() {
 		return
 	}
 	edges := 0

@@ -8,7 +8,6 @@ import (
 	"rewire/internal/dfg"
 	"rewire/internal/diag"
 	"rewire/internal/mapping"
-	"rewire/internal/obs"
 	"rewire/internal/stats"
 	"rewire/internal/trace"
 )
@@ -30,22 +29,11 @@ type RunOptions struct {
 	// and docs/OBSERVABILITY.md). nil disables tracing at ~zero
 	// hot-path cost.
 	Tracer *trace.Tracer
-	// Logger receives run- and II-level structured log records (never
-	// per-placement events). nil disables logging at one pointer check
-	// per site.
-	Logger *obs.Logger
-	// Diag accumulates the post-mortem: per-attempt convergence series,
-	// contested-resource attribution, unroutable edges. nil disables
-	// collection at one pointer check per site.
-	Diag *diag.Collector
-	// Progress receives coarse progress events (run, II-attempt and
-	// round boundaries) for live streaming. nil disables publishing at
-	// one pointer check per site.
-	Progress *diag.Bus
-	// Lane tags an attempt's diag rows and progress events with its
-	// portfolio lane label. The driver sets it per attempt; it is empty
-	// outside portfolio runs.
-	Lane string
+	// Obs records the run, II, attempt and round boundaries in the log,
+	// the post-mortem and the progress stream (see diag.Observer). The
+	// driver hands each attempt its lane's observer. nil disables all
+	// three at one pointer check per boundary.
+	Obs *diag.Observer
 }
 
 // WithDefaults fills the zero budgets with the defaults.
@@ -119,9 +107,9 @@ type laneTally struct {
 	elapsedMS int64
 }
 
-// Drive runs one mapper run from start to commit: the root span,
-// logger, diag Begin/Commit, run_start/run_end events, the II sweep,
-// the effort merge and the outcome log.
+// Drive runs one mapper run from start to commit: the root span, the
+// run's start and end on the observer, the II sweep and the effort
+// merge.
 //
 // Lane k is row k%len(Rows) at II = MII + k/len(Rows): II ascending,
 // priority descending within an II. Run commits the lowest feasible
@@ -147,11 +135,7 @@ func Drive(ctx context.Context, g *dfg.Graph, a *arch.CGRA, p Plan, opt RunOptio
 		root.WithInt("backends", int64(nb))
 	}
 	defer root.End()
-	lg := opt.Logger.With("mapper", p.Name, "kernel", g.Name, "arch", a.Name)
-	lg.Debug("map start", "mii", mii, "max_ii", opt.MaxII, "backends", nb, "window", w)
-	opt.Diag.Begin(g, a, p.Stat, mii)
-	opt.Progress.Publish(diag.Event{Type: "run_start", Mapper: p.Name,
-		Kernel: g.Name, Arch: a.Name, MII: mii})
+	run := opt.Obs.RunStart(g, a, p.Name, p.Stat, mii, "max_ii", opt.MaxII, "backends", nb, "window", w)
 
 	laneOf := func(k int) (ii int, lane string) {
 		if p.Race {
@@ -169,7 +153,7 @@ func Drive(ctx context.Context, g *dfg.Graph, a *arch.CGRA, p Plan, opt RunOptio
 			seed = SeedForBackend(opt.Seed, b.Name, ii)
 		}
 		lopt := opt
-		lopt.Lane = lane
+		lopt.Obs = run.Lane(lane)
 		t0 := time.Now()
 		m, st, ok := b.Attempt(actx, g, a, ii, seed, root, lopt)
 		tallies[k] = laneTally{
@@ -181,8 +165,7 @@ func Drive(ctx context.Context, g *dfg.Graph, a *arch.CGRA, p Plan, opt RunOptio
 		return laneOut{m: m, st: st}, ok
 	}
 	win, winLane, below, ok := Run(ctx, 0, nLanes-1, attempt, Options{
-		Parallelism: w, Tracer: tr, Parent: root, Logger: lg,
-		Progress: opt.Progress, Lane: laneOf,
+		Parallelism: w, Tracer: tr, Parent: root, Obs: run, Lane: laneOf,
 	})
 
 	// Merge effort in lane order: below holds every lane under the
@@ -207,22 +190,10 @@ func Drive(ctx context.Context, g *dfg.Graph, a *arch.CGRA, p Plan, opt RunOptio
 		res.Portfolio = laneStats(p.Rows, tallies, winLane, winner, ok)
 	}
 
-	if !ok {
-		opt.Diag.Commit(false, 0)
-		opt.Progress.Publish(diag.Event{Type: "run_end", Outcome: "failed"})
-		lg.Warn("mapping failed", "mii", mii, "max_ii", opt.MaxII,
-			"duration_ms", res.Duration.Milliseconds())
-		return nil, res
-	}
-	if p.Race {
-		opt.Diag.SetWinner(winner)
+	if winner != "" {
 		root.WithStr("winner", winner)
 	}
-	opt.Diag.Commit(true, res.II)
-	opt.Progress.Publish(diag.Event{Type: "run_end", II: res.II, Outcome: "ok", Lane: winner})
-	lg.Info("mapped", "ii", res.II, "mii", mii, "winner", winner,
-		"remaps", res.RemapIterations, "amendments", res.ClusterAmendments,
-		"duration_ms", res.Duration.Milliseconds())
+	run.RunEnd(res, winner)
 	return win.m, res
 }
 

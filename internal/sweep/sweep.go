@@ -26,7 +26,6 @@ import (
 	"time"
 
 	"rewire/internal/diag"
-	"rewire/internal/obs"
 	"rewire/internal/trace"
 )
 
@@ -50,13 +49,10 @@ type Options struct {
 	// Parent is the span the sweep span nests under (usually the
 	// mapper's root span). nil with a non-nil Tracer makes it a root.
 	Parent *trace.Span
-	// Logger receives sweep-level debug records. nil disables logging.
-	Logger *obs.Logger
-	// Progress receives one ii_start event per launched II attempt and
-	// one ii_end event per received result — the sweep-boundary feed of
-	// the live progress stream (see internal/diag). nil disables
-	// publishing at one pointer check per boundary.
-	Progress *diag.Bus
+	// Obs records one II start per launched attempt and one II end per
+	// received result (see diag.Observer). nil disables both at one
+	// pointer check per boundary.
+	Obs *diag.Observer
 	// Lane maps an attempt index onto the (II, lane label) it stands
 	// for. The engine sweeps a contiguous index range and by default an
 	// index is its own II with an empty lane label; Drive flattens (II,
@@ -110,7 +106,6 @@ func Run[R any](ctx context.Context, lo, hi int, attempt Attempt[R], opt Options
 	hiII, _ := laneOf(hi)
 	sweepSpan := tr.StartSpan(opt.Parent, "sweep").
 		WithInt("lo", int64(loII)).WithInt("hi", int64(hiII)).WithInt("window", int64(w))
-	lg := opt.Logger
 
 	results := make(chan *slot[R])
 	pending := map[int]*slot[R]{} // launched, result not yet received
@@ -125,7 +120,7 @@ func Run[R any](ctx context.Context, lo, hi int, attempt Attempt[R], opt Options
 		pending[ii] = s
 		launchedCtr.Add(1)
 		eventII, lane := laneOf(ii)
-		opt.Progress.Publish(diag.Event{Type: "ii_start", II: eventII, Lane: lane})
+		opt.Obs.IIStart(eventII, lane)
 		if ii > resolve {
 			specCtr.Add(1)
 		}
@@ -159,7 +154,7 @@ func Run[R any](ctx context.Context, lo, hi int, attempt Attempt[R], opt Options
 			s := <-results
 			delete(pending, s.ii)
 			eventII, lane := laneOf(s.ii)
-			opt.Progress.Publish(diag.Event{Type: "ii_end", II: eventII, Lane: lane, Outcome: "cancelled"})
+			opt.Obs.IIEnd(eventII, lane, "cancelled")
 			wastedCtr.Add(s.elapsed.Milliseconds())
 		}
 		for _, s := range done {
@@ -183,9 +178,6 @@ func Run[R any](ctx context.Context, lo, hi int, attempt Attempt[R], opt Options
 					sweepSpan.WithStr("lane", committedLane)
 				}
 				sweepSpan.End()
-				if lg.On() {
-					lg.Debug("sweep committed", "ii", committedII, "failed_below", len(below))
-				}
 				return s.val, s.ii, below, true
 			}
 			below = append(below, s.val)
@@ -220,8 +212,7 @@ func Run[R any](ctx context.Context, lo, hi int, attempt Attempt[R], opt Options
 		delete(pending, s.ii)
 		done[s.ii] = s
 		eventII, lane := laneOf(s.ii)
-		opt.Progress.Publish(diag.Event{Type: "ii_end", II: eventII, Lane: lane,
-			Outcome: diag.Outcome(s.ok, s.cancelSent)})
+		opt.Obs.IIEnd(eventII, lane, diag.Outcome(s.ok, s.cancelSent))
 		if s.ok && s.ii < lowestOK {
 			lowestOK = s.ii
 			// Attempts above a feasible II are moot; attempts at or below

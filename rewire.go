@@ -345,11 +345,9 @@ func MapCached(ctx context.Context, g *DFG, cgra *CGRA, opt Options) (*Mapping, 
 		return nil, res, out, fmt.Errorf("rewire: mapping %q on %s aborted: %w", g.Name, cgra.Name, err)
 	}
 	if out.Hit || out.Shared {
-		// The mappers never ran for this caller, so its collector saw
-		// nothing: record the served outcome and flag it as cached.
-		opt.Diag.Begin(g, cgra, res.Mapper, res.MII)
-		opt.Diag.Commit(res.Success, res.II)
-		opt.Diag.MarkCached()
+		// The mappers never ran for this caller: its observer records the
+		// served outcome instead.
+		runOptions(opt).Obs.Served(g, cgra, string(mapperOf(opt)), res)
 	}
 	return m, res, out, noMappingErr(m, g, cgra, opt, res)
 }
@@ -357,11 +355,7 @@ func MapCached(ctx context.Context, g *DFG, cgra *CGRA, opt Options) (*Mapping, 
 // mapUncached runs the selected mapper's plan from the backend table
 // through the one mapper driver. The mapper is already validated.
 func mapUncached(ctx context.Context, g *DFG, cgra *CGRA, opt Options) (*Mapping, Result) {
-	mapper := opt.Mapper
-	if mapper == "" {
-		mapper = MapperRewire
-	}
-	plan, err := portfolio.Plan(string(mapper), opt.PortfolioBackends,
+	plan, err := portfolio.Plan(string(mapperOf(opt)), opt.PortfolioBackends,
 		opt.SweepParallelism, opt.PortfolioParallelism)
 	if err != nil {
 		panic(err.Error())
@@ -369,11 +363,19 @@ func mapUncached(ctx context.Context, g *DFG, cgra *CGRA, opt Options) (*Mapping
 	return sweep.Drive(ctx, g, cgra, plan, runOptions(opt))
 }
 
+// mapperOf is the selected mapper, Rewire by default.
+func mapperOf(opt Options) MapperName {
+	if opt.Mapper == "" {
+		return MapperRewire
+	}
+	return opt.Mapper
+}
+
 // runOptions is the slice of opt every mapper run shares.
 func runOptions(opt Options) sweep.RunOptions {
 	return sweep.RunOptions{
 		Seed: opt.Seed, TimePerII: opt.TimePerII, MaxII: opt.MaxII,
-		Tracer: opt.Tracer, Logger: opt.Logger, Diag: opt.Diag, Progress: opt.Progress,
+		Tracer: opt.Tracer, Obs: diag.NewObserver(opt.Logger, opt.Diag, opt.Progress),
 	}
 }
 
