@@ -171,8 +171,9 @@ func readSSE(t *testing.T, resp *http.Response) []sseEvent {
 // least one progress event before the terminal frame, in publish
 // order, and works for late subscribers via the retained replay.
 func TestEventsStreamsProgress(t *testing.T) {
-	ts := testServer(t, serverConfig{Workers: 2, FlightSize: 8})
-	sub := submitJob(t, ts.URL, `{"kernel":"mvt","arch":"4x4r4","seed":1,"time_per_ii_ms":2000}`)
+	ts := testServer(t, serverConfig{Workers: 2, FlightSize: 8, CacheSize: 4})
+	const body = `{"kernel":"mvt","arch":"4x4r4","seed":1,"time_per_ii_ms":2000}`
+	sub := submitJob(t, ts.URL, body)
 	if sub.EventsURL == "" {
 		t.Fatal("submit answer has no events_url")
 	}
@@ -230,6 +231,25 @@ func TestEventsStreamsProgress(t *testing.T) {
 	evs2 := readSSE(t, resp2)
 	if len(evs2) < 2 || evs2[len(evs2)-1].event != "end" {
 		t.Fatalf("late subscriber got %d frames, want full replay plus end", len(evs2))
+	}
+
+	// The same request again is served from the result cache; its stream
+	// still opens with run_start and closes with run_end.
+	warm := submitJob(t, ts.URL, body)
+	if out := pollResult(t, ts.URL, warm); !out.Cached || !out.Success {
+		t.Fatalf("warmed job = %+v, want a cached success", out)
+	}
+	resp3, err := http.Get(ts.URL + warm.EventsURL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp3.Body.Close()
+	var got []string
+	for _, ev := range readSSE(t, resp3) {
+		got = append(got, ev.event)
+	}
+	if strings.Join(got, " ") != "run_start run_end end" {
+		t.Fatalf("cache-served stream = %v, want run_start, run_end, end", got)
 	}
 
 	// Unknown job: 404.

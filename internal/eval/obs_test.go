@@ -11,6 +11,9 @@ import (
 	"time"
 
 	"rewire/internal/arch"
+	"rewire/internal/diag"
+	"rewire/internal/kernels"
+	"rewire/internal/resultcache"
 	"rewire/internal/trace"
 )
 
@@ -180,5 +183,27 @@ func TestRunCombosReportDir(t *testing.T) {
 		if !bytes.Contains(html, []byte("<!DOCTYPE html>")) {
 			t.Errorf("%s.report.html is not an HTML page", base)
 		}
+	}
+}
+
+// TestRunDFGCacheHitReportsServed: a cache hit never runs the mappers,
+// so its collector must still learn the served outcome, marked cached.
+func TestRunDFGCacheHitReportsServed(t *testing.T) {
+	g := kernels.MustLoad("mvt")
+	cfg := Config{Seed: 1, TimePerII: 2 * time.Second, Out: io.Discard, Cache: resultcache.New(4)}
+	cfg.Diag = diag.NewCollector()
+	_, first := RunDFG("Rewire", g, arch.New4x4(4), cfg)
+	if !first.Success || cfg.Diag.Report().Cached {
+		t.Fatalf("first run = %+v, want an uncached success", first)
+	}
+	cfg.Diag = diag.NewCollector()
+	_, res := RunDFG("Rewire", g, arch.New4x4(4), cfg)
+	r := cfg.Diag.Report()
+	if !r.Cached || !r.Success || r.II != first.II || r.Kernel != "mvt" || r.Mapper != "Rewire" {
+		t.Fatalf("cache-hit report = cached=%v success=%v II=%d kernel=%q mapper=%q, want a cached success at II=%d",
+			r.Cached, r.Success, r.II, r.Kernel, r.Mapper, first.II)
+	}
+	if len(r.Attempts) != 0 || res.II != first.II {
+		t.Fatalf("cache hit fabricated %d attempts or moved the II to %d", len(r.Attempts), res.II)
 	}
 }
