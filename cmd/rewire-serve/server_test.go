@@ -505,6 +505,7 @@ func TestMapValidation(t *testing.T) {
 		{"negative registers", `{"kernel":"mvt","arch":"2x2r-3"}`},
 		{"huge grid", `{"kernel":"mvt","arch":"4000x4000r4"}`},
 		{"huge ADL grid", `{"kernel":"mvt","arch_adl":"grid 4000 x 4000\n"}`},
+		{"huge ADL banks", `{"kernel":"mvt","arch_adl":"banks 2000000000\n"}`},
 		{"huge unroll", `{"kernel_src":"kernel k\nc[i] = a[i] + b[i]\n","unroll":1099511627776,"arch":"4x4r4"}`},
 	}
 	for _, tc := range cases {

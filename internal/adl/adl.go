@@ -121,6 +121,9 @@ func (b *builder) directive(fields []string) error {
 		if err != nil {
 			return fmt.Errorf("banks: %w", err)
 		}
+		if v > arch.MaxBanks {
+			return fmt.Errorf("banks: %d above maximum %d", v, arch.MaxBanks)
+		}
 		b.banks = v
 	case "memcols":
 		b.sawMemCols = true

@@ -103,6 +103,8 @@ func TestParseErrors(t *testing.T) {
 		"grid 33 x 4\n",                  // rows past the cap
 		"grid 4 x 33\n",                  // cols past the cap
 		"regs 17\n",                      // past arch.MaxNameRegs
+		"banks 33\n",                     // past arch.MaxBanks
+		"banks 2000000000\n",             // billions of bank slots
 	}
 	for _, src := range cases {
 		if _, err := Parse(src); err == nil {
@@ -112,11 +114,11 @@ func TestParseErrors(t *testing.T) {
 }
 
 func TestParseAcceptsSizeCap(t *testing.T) {
-	c, err := Parse(fmt.Sprintf("grid %d x %d\nregs %d\n", arch.MaxNameSide, arch.MaxNameSide, arch.MaxNameRegs))
+	c, err := Parse(fmt.Sprintf("grid %d x %d\nregs %d\nbanks %d\n", arch.MaxNameSide, arch.MaxNameSide, arch.MaxNameRegs, arch.MaxBanks))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Rows != arch.MaxNameSide || c.Cols != arch.MaxNameSide || c.Regs != arch.MaxNameRegs {
+	if c.Rows != arch.MaxNameSide || c.Cols != arch.MaxNameSide || c.Regs != arch.MaxNameRegs || c.Banks != arch.MaxBanks {
 		t.Fatalf("parsed: %+v", c)
 	}
 }

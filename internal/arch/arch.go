@@ -189,10 +189,14 @@ func New8x8(regs int) *CGRA {
 // request), and the MRRG of a fabric grows with rows × cols × registers
 // × II, so "4000x4000r4" must be an error rather than a 16M-PE build. Both are several times
 // the largest fabric the evaluation uses (the 10x10r4 of the scaling
-// study) and the paper's 4-register files.
+// study) and the paper's 4-register files. MaxBanks bounds an ADL bank
+// count the same way (the MRRG holds two bank-port slots per bank and
+// time step); it admits every fabric ParseName builds, whose widest
+// grids get one bank per row.
 const (
 	MaxNameSide = 32
 	MaxNameRegs = 16
+	MaxBanks    = MaxNameSide
 )
 
 // ParseName builds the CGRA a "ROWSxCOLSrREGS" name (e.g. "4x4r4")

@@ -136,6 +136,9 @@ func TestParseName(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("ParseName(%q) = %+v, want %+v", name, got, want)
 		}
+		if got.Banks > MaxBanks {
+			t.Errorf("ParseName(%q) builds %d banks, past MaxBanks %d", name, got.Banks, MaxBanks)
+		}
 	}
 	for _, bad := range []string{"", "tiny", "4x4", "0x4r4", "4x0r4", "-2x2r1", "2x2r-3", "4x4r-1",
 		"4000x4000r4", "33x4r4", "4x33r4", "4x4r17", "9223372036854775807x1r1"} {
