@@ -7,9 +7,13 @@
 // malformed exporter fails the build rather than the first person
 // opening a trace.
 //
+// A directory argument is a post-mortem directory as rewire-map -report
+// writes it: its events.jsonl is validated like any progress stream and
+// then cross-checked against its report.json (see checkReportDir).
+//
 // Usage:
 //
-//	tracecheck file.trace.json file.jsonl events.jsonl ...
+//	tracecheck file.trace.json file.jsonl events.jsonl report-dir ...
 //
 // The format is picked per file by suffix (.jsonl vs anything else =
 // Chrome). Exit status is non-zero if any file is invalid.
@@ -20,6 +24,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
 )
 
@@ -31,7 +36,9 @@ func main() {
 	bad := false
 	for _, path := range os.Args[1:] {
 		var err error
-		if strings.HasSuffix(path, ".jsonl") {
+		if fi, serr := os.Stat(path); serr == nil && fi.IsDir() {
+			err = checkReportDir(path)
+		} else if strings.HasSuffix(path, ".jsonl") {
 			err = checkJSONL(path)
 		} else {
 			err = checkChrome(path)
@@ -312,5 +319,77 @@ func checkProgressJSONL(path string, sc *bufio.Scanner, dropped uint64) error {
 		return fmt.Errorf("run ended with %d attempts still open", len(open))
 	}
 	fmt.Printf("tracecheck: %s: %d progress events (%d dropped upstream)\n", path, events, dropped)
+	return nil
+}
+
+// checkReportDir validates a post-mortem directory: events.jsonl must
+// pass checkJSONL, and, unless the bus dropped events (the stream is
+// then a tail), it must agree with report.json: one attempt_start per
+// attempt of the report's timeline, and a run_end whose II and outcome
+// are the report's.
+func checkReportDir(dir string) error {
+	events := filepath.Join(dir, "events.jsonl")
+	if err := checkJSONL(events); err != nil {
+		return fmt.Errorf("events.jsonl: %w", err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "report.json"))
+	if err != nil {
+		return err
+	}
+	var rep struct {
+		Success  bool              `json:"success"`
+		II       int               `json:"ii"`
+		Attempts []json.RawMessage `json:"attempts"`
+	}
+	if err := json.Unmarshal(data, &rep); err != nil {
+		return fmt.Errorf("report.json: %w", err)
+	}
+	data, err = os.ReadFile(events)
+	if err != nil {
+		return err
+	}
+	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+	var meta struct {
+		Dropped uint64 `json:"dropped"`
+	}
+	if err := json.Unmarshal([]byte(lines[0]), &meta); err != nil {
+		return fmt.Errorf("events.jsonl: line 1: %w", err)
+	}
+	if meta.Dropped > 0 {
+		fmt.Printf("tracecheck: %s: %d events dropped, report cross-check skipped\n", dir, meta.Dropped)
+		return nil
+	}
+	type event struct {
+		Type    string `json:"type"`
+		II      int    `json:"ii"`
+		Outcome string `json:"outcome"`
+	}
+	starts := 0
+	var end *event
+	for i, line := range lines[1:] {
+		var ev event
+		if err := json.Unmarshal([]byte(line), &ev); err != nil {
+			return fmt.Errorf("events.jsonl: line %d: %w", i+2, err)
+		}
+		switch ev.Type {
+		case "attempt_start":
+			starts++
+		case "run_end":
+			end = &ev
+		}
+	}
+	if starts != len(rep.Attempts) {
+		return fmt.Errorf("events.jsonl starts %d attempts, report.json lists %d", starts, len(rep.Attempts))
+	}
+	if end == nil {
+		return fmt.Errorf("events.jsonl has no run_end to check against report.json")
+	}
+	if end.II != rep.II {
+		return fmt.Errorf("run_end at II %d, report.json at II %d", end.II, rep.II)
+	}
+	if (end.Outcome == "ok") != rep.Success {
+		return fmt.Errorf("run_end outcome %q, report.json success %v", end.Outcome, rep.Success)
+	}
+	fmt.Printf("tracecheck: %s: %d attempts and run_end agree with report.json\n", dir, starts)
 	return nil
 }
