@@ -21,6 +21,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -104,7 +105,7 @@ func main() {
 		Jobs:                 *jobs,
 		SweepParallelism:     *sweepJ,
 		Mappers:              mappers,
-		PortfolioBackends:    splitCSV(*pfolioB),
+		PortfolioBackends:    portfolio.ParseBackends(*pfolioB),
 		PortfolioParallelism: *pfolioJ,
 		Verbose:              !*quiet,
 		Out:                  os.Stdout,
@@ -112,7 +113,7 @@ func main() {
 		ReportDir:            *reportDir,
 		Logger:               log,
 	}
-	if _, err := portfolio.Canonical(cfg.PortfolioBackends); err != nil {
+	if _, err := portfolio.Backends(cfg.PortfolioBackends); err != nil {
 		log.Error("bad -portfolio-backends", "err", err)
 		os.Exit(2)
 	}
@@ -180,36 +181,21 @@ func main() {
 	}
 }
 
-// parseMappers resolves the -mapper CSV to eval display names, accepting
-// any alias the result cache canonicalises ("pf" → "PF*"). Empty means
-// the default set (the paper's three).
+// parseMappers resolves the -mapper CSV, any alias accepted, to the
+// display names eval reports ("pf" is "PF*"). Empty means the default
+// set (the paper's three).
 func parseMappers(csv string) ([]string, error) {
-	display := map[string]string{
-		"rewire": "Rewire", "pathfinder": "PF*", "sa": "SA", "portfolio": "Portfolio",
-	}
 	var out []string
-	seen := map[string]bool{}
-	for _, f := range splitCSV(csv) {
-		canon, ok := resultcache.CanonicalMapper(f)
-		if !ok {
-			return nil, fmt.Errorf("unknown mapper %q (want rewire, pathfinder, sa or portfolio)", f)
+	for _, f := range portfolio.ParseBackends(csv) {
+		p, err := portfolio.Plan(f, nil, 0, 0)
+		if err != nil {
+			return nil, err
 		}
-		if name := display[canon]; !seen[name] {
-			seen[name] = true
-			out = append(out, name)
+		if !slices.Contains(out, p.Stat) {
+			out = append(out, p.Stat)
 		}
 	}
 	return out, nil
-}
-
-func splitCSV(s string) []string {
-	var out []string
-	for _, f := range strings.Split(s, ",") {
-		if f = strings.TrimSpace(f); f != "" {
-			out = append(out, f)
-		}
-	}
-	return out
 }
 
 // filterCombos keeps the combos whose kernel / arch name appear in the

@@ -16,13 +16,13 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 	"time"
 
 	"rewire"
 	"rewire/internal/arch"
 	"rewire/internal/buildinfo"
 	"rewire/internal/obs"
+	"rewire/internal/portfolio"
 )
 
 // log writes structured diagnostics to stderr; stdout stays reserved
@@ -34,7 +34,7 @@ func main() {
 		kernel   = flag.String("kernel", "fft", "benchmark kernel name (see -list)")
 		archStr  = flag.String("arch", "4x4r4", "architecture: 4x4rN, 8x8rN, or RxCrN")
 		archFile = flag.String("arch-file", "", "path to an ADL architecture spec (overrides -arch)")
-		mapper   = flag.String("mapper", "rewire", "mapper: rewire, pathfinder, sa, or portfolio (races the backends, lowest II wins)")
+		mapper   = flag.String("mapper", "rewire", "mapper: rewire, pathfinder (pf), sa, or portfolio (races the backends, lowest II wins)")
 		seed     = flag.Int64("seed", 1, "random seed (runs are reproducible per seed)")
 		budget   = flag.Duration("time-per-ii", 5*time.Second, "wall-clock budget per attempted II")
 		maxII    = flag.Int("max-ii", 32, "largest II to attempt")
@@ -136,7 +136,7 @@ func main() {
 		TimePerII:            *budget,
 		MaxII:                *maxII,
 		SweepParallelism:     *sweepJ,
-		PortfolioBackends:    splitCSV(*pfolioB),
+		PortfolioBackends:    portfolio.ParseBackends(*pfolioB),
 		PortfolioParallelism: *pfolioJ,
 		Tracer:               tr,
 		Logger:               log,
@@ -212,20 +212,6 @@ func main() {
 		}
 		fmt.Printf("\nmapping bundle written to %s\n", *saveTo)
 	}
-}
-
-// splitCSV parses a comma-separated flag into its non-empty fields.
-func splitCSV(s string) []string {
-	if s == "" {
-		return nil
-	}
-	var out []string
-	for _, f := range strings.Split(s, ",") {
-		if f = strings.TrimSpace(f); f != "" {
-			out = append(out, f)
-		}
-	}
-	return out
 }
 
 // writeTrace exports the run's tracer in the requested formats.

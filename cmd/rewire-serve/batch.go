@@ -6,7 +6,7 @@ package main
 //
 // POST /map/batch takes up to MaxBatch mapping requests in one body,
 // fingerprints every entry with the result cache's canonical content
-// address (rewire.CacheKey), and runs each distinct fingerprint as one
+// address (the job's fingerprint), and runs each distinct one as one
 // job; duplicate entries copy the representative's result
 // (Deduped=true, sharing its run_id and trace). Dedup works with or
 // without the result cache — the fingerprint is pure — but with the
@@ -29,6 +29,7 @@ import (
 	"sync"
 
 	"rewire"
+	"rewire/internal/resultcache"
 )
 
 // batchRequest is the POST /map/batch body.
@@ -80,7 +81,7 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			results[i] = mapResponse{Mapper: strings.ToLower(req.Mapper), Error: err.Error()}
 			continue
 		}
-		keys[i] = rewire.CacheKey(j.g, j.cgra, j.opts)
+		keys[i] = resultcache.KeyFor(j.g, j.cgra, j.fp).String()
 		if _, dup := rep[keys[i]]; dup {
 			continue // filled from the representative after the wait
 		}
@@ -129,7 +130,7 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.reject(w, req.Mapper, err)
 		return
 	}
-	if !s.jobs.submit(j.runID, j.opts.Progress) {
+	if !s.jobs.submit(j.runID, j.bus) {
 		s.mJobs.With("rejected").Inc()
 		j.lg.Warn("job table full; submission rejected")
 		writeJSON(w, http.StatusServiceUnavailable,

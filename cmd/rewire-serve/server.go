@@ -16,6 +16,7 @@ import (
 	"rewire"
 	"rewire/internal/arch"
 	"rewire/internal/buildinfo"
+	"rewire/internal/diag"
 	"rewire/internal/dist"
 	"rewire/internal/ledger"
 	"rewire/internal/metrics"
@@ -23,6 +24,7 @@ import (
 	"rewire/internal/obs"
 	"rewire/internal/portfolio"
 	"rewire/internal/resultcache"
+	"rewire/internal/sweep"
 	"rewire/internal/trace"
 	"rewire/internal/viz"
 )
@@ -357,45 +359,41 @@ func (s *server) reject(w http.ResponseWriter, mapper string, err error) {
 	writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 }
 
-// job is one validated mapping request with its run's identity and
-// engine options. Every POST endpoint turns its requests into jobs and
-// hands them to run.
+// job is one validated mapping request with its run's identity, its
+// resolved engine request and fingerprint, and the observers the
+// server reads back after the run. Every POST endpoint turns its
+// requests into jobs and hands them to run.
 type job struct {
 	req   *mapRequest
 	g     *rewire.DFG
 	cgra  *rewire.CGRA
 	runID string
 	lg    *obs.Logger
-	opts  rewire.Options
+	run   portfolio.Request
+	fp    resultcache.Request
+	diag  *rewire.DiagCollector
+	bus   *rewire.ProgressBus
 }
 
-// newJob validates req against the server's caps, resolves kernel and
-// architecture, and prepares the run. bus is an async job's progress
-// stream, nil otherwise.
+// newJob validates req against the server's caps, resolves mapper,
+// kernel and architecture, and prepares the run: effective budgets,
+// clamped windows, a private tracer and diagnostics collector and the
+// request-scoped logger. bus is an async job's progress stream, nil
+// otherwise (nothing subscribes to a synchronous run before its answer).
 func (s *server) newJob(req *mapRequest, bus *rewire.ProgressBus) (*job, error) {
-	var mapper rewire.MapperName
-	switch strings.ToLower(req.Mapper) {
-	case "", "rewire":
-		mapper = rewire.MapperRewire
-	case "pathfinder", "pf", "pf*":
-		mapper = rewire.MapperPathFinder
-	case "sa":
-		mapper = rewire.MapperSA
-	case "portfolio":
-		mapper = rewire.MapperPortfolio
-	default:
-		return nil, fmt.Errorf("unknown mapper %q (want rewire, pathfinder, sa or portfolio)", req.Mapper)
+	run := portfolio.Request{
+		Mapper: req.Mapper, Backends: portfolio.ParseBackends(req.PortfolioBackends),
+		RunOptions: sweep.RunOptions{Seed: req.Seed, MaxII: req.MaxII, TimePerII: effectiveTPI(req)},
 	}
-	if mapper != rewire.MapperPortfolio && (req.PortfolioBackends != "" || req.PortfolioParallelism != 0) {
+	fp, err := run.Fingerprint()
+	if err != nil {
+		return nil, err
+	}
+	if fp.Mapper != "portfolio" && (req.PortfolioBackends != "" || req.PortfolioParallelism != 0) {
 		return nil, fmt.Errorf("portfolio_backends/portfolio_parallelism require mapper \"portfolio\", not %q", req.Mapper)
 	}
 	if req.PortfolioParallelism < 0 {
 		return nil, fmt.Errorf("portfolio_parallelism %d must be >= 0", req.PortfolioParallelism)
-	}
-	if mapper == rewire.MapperPortfolio {
-		if _, err := portfolio.Canonical(portfolio.ParseBackends(req.PortfolioBackends)); err != nil {
-			return nil, err
-		}
 	}
 	if req.MaxII < 0 || req.MaxII > s.cfg.MaxII {
 		return nil, fmt.Errorf("max_ii %d out of range (server cap %d)", req.MaxII, s.cfg.MaxII)
@@ -407,10 +405,7 @@ func (s *server) newJob(req *mapRequest, bus *rewire.ProgressBus) (*job, error) 
 		return nil, fmt.Errorf("sweep_parallelism %d must be >= 0", req.SweepParallelism)
 	}
 
-	var (
-		g   *rewire.DFG
-		err error
-	)
+	var g *rewire.DFG
 	switch {
 	case req.Kernel != "" && req.KernelSrc != "":
 		return nil, errors.New("set kernel or kernel_src, not both")
@@ -437,10 +432,27 @@ func (s *server) newJob(req *mapRequest, bus *rewire.ProgressBus) (*job, error) 
 	if err != nil {
 		return nil, err
 	}
+
 	runID := obs.NewRunID()
 	lg := s.lg.WithRun(runID)
-	return &job{req: req, g: g, cgra: cgra, runID: runID, lg: lg,
-		opts: s.buildOpts(req, mapper, lg, bus)}, nil
+	j := &job{req: req, g: g, cgra: cgra, runID: runID, lg: lg, fp: fp,
+		diag: rewire.NewDiagCollector(), bus: bus}
+	run.SweepWidth = s.clampSweep(req.SweepParallelism)
+	if fp.Mapper == "portfolio" {
+		// A zero width races one lane per resolved backend ("pf,pathfinder"
+		// is one); resolve it here so the same oversubscription clamp as
+		// the sweep window applies. The committed result is
+		// width-independent, so clamping only affects wall-clock.
+		want := req.PortfolioParallelism
+		if want == 0 {
+			want = strings.Count(fp.Backends, ",") + 1
+		}
+		run.LaneWidth = s.clampSweep(want)
+	}
+	run.Tracer = rewire.NewTracer()
+	run.Obs = diag.NewObserver(obs.New(lg.Slog()), j.diag, bus)
+	j.run = run
+	return j, nil
 }
 
 // handleMap serves POST /map: one job, answered when its run finishes or
@@ -481,7 +493,7 @@ func (s *server) handleMap(w http.ResponseWriter, r *http.Request) {
 // holding the slot until the cancelled sweep has unwound, which takes
 // one mapper inner-loop iteration, and then records itself.
 func (s *server) run(ctx context.Context, j *job) (mapResponse, string) {
-	mapper := string(j.opts.Mapper)
+	mapper := j.fp.Mapper
 	count := func(outcome string) string {
 		s.mReqs.With(mapper, outcome).Inc()
 		return outcome
@@ -511,11 +523,11 @@ func (s *server) run(ctx context.Context, j *job) (mapResponse, string) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		m, res, cout, err := rewire.MapCached(ctx, j.g, j.cgra, j.opts)
+		m, res, cout, err := j.run.Map(ctx, j.g, j.cgra, s.cache)
 		// Closing the bus ends every live SSE stream; late subscribers
 		// still replay the retained tail.
-		published, _ := j.opts.Progress.Stats()
-		j.opts.Progress.Close()
+		published, _ := j.bus.Stats()
+		j.bus.Close()
 		s.mDiagProgress.Add(int64(published))
 		s.mInflight.Add(-1)
 		<-s.sem
@@ -558,42 +570,6 @@ func boolOutcome(ok bool) string {
 	return "failed"
 }
 
-// buildOpts builds one run's engine options from a validated request:
-// effective budgets, clamped sweep window, a private tracer and
-// diagnostics collector, the request-scoped logger, and the server's
-// shared result cache. bus is the async job's progress stream (nil for
-// synchronous runs: nothing subscribes before the answer, so there is
-// nothing to stream to).
-func (s *server) buildOpts(req *mapRequest, mapper rewire.MapperName, lg *obs.Logger, bus *rewire.ProgressBus) rewire.Options {
-	opts := rewire.Options{
-		Mapper:           mapper,
-		Seed:             req.Seed,
-		TimePerII:        effectiveTPI(req),
-		MaxII:            req.MaxII,
-		SweepParallelism: s.clampSweep(req.SweepParallelism),
-		Tracer:           rewire.NewTracer(),
-		Logger:           obs.New(lg.Slog()),
-		Cache:            s.cache,
-		Diag:             rewire.NewDiagCollector(),
-		Progress:         bus,
-	}
-	if mapper == rewire.MapperPortfolio {
-		opts.PortfolioBackends = portfolio.ParseBackends(req.PortfolioBackends)
-		// A zero width races one lane per resolved backend ("pf,pathfinder"
-		// is one); resolve it here so the same oversubscription clamp as
-		// the sweep window applies. The committed result is
-		// width-independent, so clamping only affects wall-clock. The
-		// subset was validated with the request.
-		want := req.PortfolioParallelism
-		if want == 0 {
-			bs, _ := portfolio.Backends(opts.PortfolioBackends)
-			want = len(bs)
-		}
-		opts.PortfolioParallelism = s.clampSweep(want)
-	}
-	return opts
-}
-
 // effectiveTPI resolves a request's per-II budget to what the engine
 // will actually run with. Fingerprinting uses the same resolution, so
 // "default budget" and "2000ms" share a cache entry.
@@ -611,7 +587,7 @@ func buildMapResponse(j *job, m *rewire.Mapping, res rewire.Result,
 	resp := mapResponse{
 		RunID:      j.runID,
 		Success:    res.Success,
-		Mapper:     string(j.opts.Mapper),
+		Mapper:     j.fp.Mapper,
 		Kernel:     res.Kernel,
 		Arch:       res.Arch,
 		II:         res.II,
@@ -642,8 +618,7 @@ func buildMapResponse(j *job, m *rewire.Mapping, res rewire.Result,
 // whether the job was answered in time or cut short. requests_total is
 // counted by run, which alone knows the outcome.
 func (s *server) recordRun(j *job, res rewire.Result, cout rewire.CacheOutcome) runRecord {
-	req, opts := j.req, j.opts
-	mapper := string(opts.Mapper)
+	mapper, tr := j.fp.Mapper, j.run.Tracer
 	s.mDur.With(mapper).Observe(res.Duration.Seconds())
 	if res.Success {
 		s.mII.With(mapper).Observe(float64(res.II))
@@ -658,8 +633,8 @@ func (s *server) recordRun(j *job, res rewire.Result, cout rewire.CacheOutcome) 
 			s.mPfWastedMS.With(b.Backend).Add(b.WastedMS)
 		}
 	}
-	metrics.FoldTracer(s.reg, opts.Tracer)
-	report := opts.Diag.Report()
+	metrics.FoldTracer(s.reg, tr)
+	report := j.diag.Report()
 	if report != nil {
 		s.mDiagReports.With(boolOutcome(res.Success)).Inc()
 		s.mDiagContest.Observe(float64(len(report.Contested)))
@@ -671,13 +646,13 @@ func (s *server) recordRun(j *job, res rewire.Result, cout rewire.CacheOutcome) 
 		Kernel:     res.Kernel,
 		Arch:       res.Arch,
 		Mapper:     mapper,
-		Seed:       req.Seed,
+		Seed:       j.req.Seed,
 		Success:    res.Success,
 		II:         res.II,
 		MII:        res.MII,
 		DurationMS: float64(res.Duration.Microseconds()) / 1000,
-		Counters:   opts.Tracer.CounterTotals(),
-		tracer:     opts.Tracer,
+		Counters:   tr.CounterTotals(),
+		tracer:     tr,
 		report:     report,
 	}
 	if res.Portfolio != nil {
@@ -685,23 +660,7 @@ func (s *server) recordRun(j *job, res rewire.Result, cout rewire.CacheOutcome) 
 	}
 	s.flight.add(rec)
 
-	e := ledger.Entry{
-		Source: "serve",
-		Kernel: res.Kernel, Arch: res.Arch, Mapper: mapper, Seed: req.Seed,
-		Success: res.Success, Cached: cout.Hit || cout.Shared,
-		II: res.II, MII: res.MII,
-		CompileMS:     float64(res.Duration.Microseconds()) / 1000,
-		WinnerBackend: rec.WinnerBackend,
-	}
-	fpReq := resultcache.Request{
-		Mapper: mapper, Seed: req.Seed, TimePerII: opts.TimePerII, MaxII: req.MaxII,
-	}
-	if opts.Mapper == rewire.MapperPortfolio {
-		// Canonical already validated in newJob.
-		fpReq.Backends, _ = portfolio.Canonical(opts.PortfolioBackends)
-	}
-	e.DFGFP, e.ArchFP, e.OptsFP = ledger.Fingerprints(j.g, j.cgra, fpReq)
-	e.AttachReport(report)
+	e := ledger.NewEntry("serve", j.g, j.cgra, j.fp, res, cout.Hit || cout.Shared, report)
 	if err := s.led.Append(e); err != nil {
 		j.lg.Error("ledger append failed", "err", err)
 	}

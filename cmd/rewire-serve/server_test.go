@@ -13,7 +13,9 @@ import (
 	"testing"
 	"time"
 
-	"rewire"
+	"rewire/internal/arch"
+	"rewire/internal/eval"
+	"rewire/internal/kernels"
 	"rewire/internal/ledger"
 	"rewire/internal/obs"
 )
@@ -762,8 +764,11 @@ func TestSweepParallelismClamp(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	s3 := newServer(serverConfig{Workers: 1}, lg)
 	for backends, want := range map[string]int{"pf,pathfinder": 1, "sa,rewire": 2, "": 3} {
-		req := &mapRequest{Kernel: "mvt", Arch: "4x4r4", PortfolioBackends: backends}
-		if got := s3.buildOpts(req, rewire.MapperPortfolio, lg, nil).PortfolioParallelism; got != want {
+		j, err := s3.newJob(&mapRequest{Kernel: "mvt", Arch: "4x4r4", Mapper: "portfolio", PortfolioBackends: backends}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := j.run.LaneWidth; got != want {
 			t.Errorf("portfolio_backends %q: default lane window %d, want %d", backends, got, want)
 		}
 	}
@@ -872,6 +877,29 @@ func TestQoREndpoints(t *testing.T) {
 		if !strings.Contains(mBody, want) {
 			t.Errorf("/metrics missing %q", want)
 		}
+	}
+}
+
+// TestLedgerFingerprintsMatchEval maps one effective request through
+// the daemon and through eval.RunDFG, each leaving the budgets unset
+// and spelling the mapper its own way: both ledger entries must carry
+// the same fingerprints.
+func TestLedgerFingerprintsMatchEval(t *testing.T) {
+	led := ledger.NewMemory()
+	ts := testServer(t, serverConfig{Workers: 1, Ledger: led})
+	if out, code := postMap(t, ts, `{"kernel":"mvt","arch":"4x4r4","mapper":"pf","seed":3}`); code != http.StatusOK || !out.Success {
+		t.Fatalf("POST /map = %d success=%v", code, out.Success)
+	}
+	evalLed := ledger.NewMemory()
+	eval.RunDFG("PF*", kernels.MustLoad("mvt"), arch.New4x4(4), eval.Config{Seed: 3, Out: io.Discard, Ledger: evalLed})
+	served, evaluated := led.Entries(), evalLed.Entries()
+	if len(served) != 1 || len(evaluated) != 1 {
+		t.Fatalf("ledger entries: serve %d, eval %d, want 1 each", len(served), len(evaluated))
+	}
+	a, b := served[0], evaluated[0]
+	if a.DFGFP != b.DFGFP || a.ArchFP != b.ArchFP || a.OptsFP != b.OptsFP {
+		t.Errorf("fingerprints differ: serve %s/%s/%s, eval %s/%s/%s",
+			a.DFGFP, a.ArchFP, a.OptsFP, b.DFGFP, b.ArchFP, b.OptsFP)
 	}
 }
 

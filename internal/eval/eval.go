@@ -188,24 +188,6 @@ func (c Config) mappers() []string {
 	return Mappers
 }
 
-// cacheRequest builds the fingerprint request for one run. Portfolio
-// runs additionally key on the canonical backend subset, matching the
-// public rewire.CacheKey, so eval-populated caches and ledgers are
-// interoperable with API and serve traffic.
-func cacheRequest(mapper string, cfg Config) resultcache.Request {
-	req := resultcache.Request{
-		Mapper: mapper, Seed: cfg.Seed, TimePerII: cfg.TimePerII, MaxII: cfg.MaxII,
-	}
-	if mapper == "Portfolio" {
-		csv, err := portfolio.Canonical(cfg.PortfolioBackends)
-		if err != nil {
-			panic("eval: " + err.Error())
-		}
-		req.Backends = csv
-	}
-	return req
-}
-
 // Run maps one combo with one mapper under the config's budgets.
 func Run(mapper string, cb Combo, cfg Config) (*mapping.Mapping, stats.Result) {
 	sp := cfg.Tracer.StartSpan(nil, "dfg_load").WithStr("kernel", cb.Kernel)
@@ -215,10 +197,9 @@ func Run(mapper string, cb Combo, cfg Config) (*mapping.Mapping, stats.Result) {
 }
 
 // RunDFG maps an arbitrary DFG (not necessarily a registry kernel) on an
-// architecture with one of the three mappers. With Config.Cache set the
-// compile is content-addressed: the key is built after defaults are
-// resolved, so a cached entry and a fresh run always agree on the
-// effective budgets.
+// architecture with one of the mappers (display name or any alias).
+// With Config.Cache set the compile is content-addressed under the same
+// key as the public API's for the same effective request.
 func RunDFG(mapper string, g *dfg.Graph, a *arch.CGRA, cfg Config) (*mapping.Mapping, stats.Result) {
 	cfg = cfg.withDefaults()
 	// With a ledger but no caller-supplied collector, give the run a
@@ -227,71 +208,30 @@ func RunDFG(mapper string, g *dfg.Graph, a *arch.CGRA, cfg Config) (*mapping.Map
 	if cfg.Ledger != nil && cfg.Diag == nil {
 		cfg.Diag = diag.NewCollector()
 	}
-	var (
-		m      *mapping.Mapping
-		res    stats.Result
-		cached bool
-		o      = diag.NewObserver(cfg.Logger, cfg.Diag, nil)
-	)
-	if cfg.Cache != nil {
-		key := resultcache.KeyFor(g, a, cacheRequest(mapper, cfg))
-		var out resultcache.Outcome
-		m, res, out, _ = cfg.Cache.Do(context.Background(), key, func() (*mapping.Mapping, stats.Result) {
-			return runDFGUncached(mapper, g, a, cfg, o)
-		})
-		if cached = out.Hit || out.Shared; cached {
-			o.Served(g, a, mapper, res)
-		}
-	} else {
-		m, res = runDFGUncached(mapper, g, a, cfg, o)
+	req := portfolio.Request{
+		Mapper: mapper, Backends: cfg.PortfolioBackends,
+		SweepWidth: cfg.SweepParallelism, LaneWidth: cfg.PortfolioParallelism,
+		RunOptions: sweep.RunOptions{Seed: cfg.Seed, MaxII: cfg.MaxII, TimePerII: cfg.TimePerII,
+			Tracer: cfg.Tracer, Obs: diag.NewObserver(cfg.Logger, cfg.Diag, nil)},
 	}
-	appendLedger(cfg, g, a, mapper, res, cached)
-	return m, res
-}
-
-// appendLedger records one finished run in the QoR ledger. Append
-// failures are logged, never propagated: observability must not fail a
-// mapping that succeeded.
-func appendLedger(cfg Config, g *dfg.Graph, a *arch.CGRA, mapper string, res stats.Result, cached bool) {
-	if cfg.Ledger == nil {
-		return
-	}
-	dfgFP, archFP, optsFP := ledger.Fingerprints(g, a, cacheRequest(mapper, cfg))
-	kernel := res.Kernel
-	if kernel == "" {
-		kernel = g.Name
-	}
-	e := ledger.Entry{
-		Source: "eval",
-		Kernel: kernel, Arch: a.Name, Mapper: mapper, Seed: cfg.Seed,
-		Success: res.Success, Cached: cached, II: res.II, MII: res.MII,
-		CompileMS: float64(res.Duration) / float64(time.Millisecond),
-		DFGFP:     dfgFP, ArchFP: archFP, OptsFP: optsFP,
-	}
-	if res.Portfolio != nil {
-		e.WinnerBackend = res.Portfolio.WinnerBackend
-	}
-	e.AttachReport(cfg.Diag.Report())
-	if err := cfg.Ledger.Append(e); err != nil {
-		lg := cfg.Logger
-		if lg == nil {
-			lg = obs.Default()
-		}
-		lg.Error("ledger append failed", "kernel", kernel, "arch", a.Name, "err", err)
-	}
-}
-
-// runDFGUncached runs the selected mapper's plan from the backend
-// table through the one mapper driver.
-func runDFGUncached(mapper string, g *dfg.Graph, a *arch.CGRA, cfg Config, o *diag.Observer) (*mapping.Mapping, stats.Result) {
-	plan, err := portfolio.Plan(mapper, cfg.PortfolioBackends,
-		cfg.SweepParallelism, cfg.PortfolioParallelism)
+	fp, err := req.Fingerprint()
 	if err != nil {
 		panic("eval: " + err.Error())
 	}
-	return sweep.Drive(context.Background(), g, a, plan, sweep.RunOptions{
-		Seed: cfg.Seed, MaxII: cfg.MaxII, TimePerII: cfg.TimePerII, Tracer: cfg.Tracer, Obs: o,
-	})
+	m, res, out, _ := req.Map(context.Background(), g, a, cfg.Cache)
+	if cfg.Ledger != nil {
+		// Append failures are logged, never propagated: observability
+		// must not fail a mapping that succeeded.
+		e := ledger.NewEntry("eval", g, a, fp, res, out.Hit || out.Shared, cfg.Diag.Report())
+		if err := cfg.Ledger.Append(e); err != nil {
+			lg := cfg.Logger
+			if lg == nil {
+				lg = obs.Default()
+			}
+			lg.Error("ledger append failed", "kernel", g.Name, "arch", a.Name, "err", err)
+		}
+	}
+	return m, res
 }
 
 // Results is the full evaluation outcome, indexed by mapper then combo

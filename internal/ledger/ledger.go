@@ -37,6 +37,7 @@ import (
 	"rewire/internal/dfg"
 	"rewire/internal/diag"
 	"rewire/internal/resultcache"
+	"rewire/internal/stats"
 )
 
 // FormatID identifies the ledger JSONL schema, carried in the meta
@@ -248,11 +249,26 @@ func (l *Ledger) Close() error {
 	return err
 }
 
-// Fingerprints digests the result cache's canonical fingerprint triple
-// for one request into the sha256-short form ledger entries carry.
-func Fingerprints(g *dfg.Graph, a *arch.CGRA, req resultcache.Request) (dfgFP, archFP, optsFP string) {
+// NewEntry is the one constructor of a run's record. source names the
+// producer, req is the run's fingerprint (portfolio.Request.Fingerprint,
+// which also names the mapper and seed), cached marks a result the
+// cache served, and r, when non-nil, adds the attempt and contention
+// summary. The fingerprints are digests of the result cache's key for
+// g, a and req, so equal effective requests carry equal digests.
+func NewEntry(source string, g *dfg.Graph, a *arch.CGRA, req resultcache.Request, res stats.Result, cached bool, r *diag.Report) Entry {
 	k := resultcache.KeyFor(g, a, req)
-	return hashShort(k.DFG), hashShort(k.Arch), hashShort(k.Opts)
+	e := Entry{
+		Source: source,
+		Kernel: g.Name, Arch: a.Name, Mapper: req.Mapper, Seed: req.Seed,
+		Success: res.Success, Cached: cached, II: res.II, MII: res.MII,
+		CompileMS: float64(res.Duration) / float64(time.Millisecond),
+		DFGFP:     hashShort(k.DFG), ArchFP: hashShort(k.Arch), OptsFP: hashShort(k.Opts),
+	}
+	if res.Portfolio != nil {
+		e.WinnerBackend = res.Portfolio.WinnerBackend
+	}
+	e.AttachReport(r)
+	return e
 }
 
 func hashShort(s string) string {

@@ -22,11 +22,15 @@ type Request struct {
 	Mapper string
 	// Seed drives all randomness; equal seeds reproduce runs exactly.
 	Seed int64
-	// TimePerII bounds the wall-clock per attempted II. It is keyed
-	// verbatim (zero means "mapper default"): a budget change can move
-	// which II the sweep commits, so budgets may never share an entry.
+	// TimePerII bounds the wall-clock per attempted II. A budget change
+	// can move which II the sweep commits, so budgets may never share an
+	// entry. It is keyed as given: the one builder,
+	// portfolio.Request.Fingerprint, resolves an unset (zero) budget to
+	// the driver's default first, so a request that leaves it unset and
+	// one that spells the default out share an entry.
 	TimePerII time.Duration
-	// MaxII caps the II sweep, same reasoning as TimePerII.
+	// MaxII caps the II sweep, same reasoning and resolution as
+	// TimePerII.
 	MaxII int
 	// Backends is the canonical comma-joined backend subset of a
 	// portfolio request (see internal/portfolio); empty for single
@@ -72,7 +76,7 @@ func KeyFor(g *dfg.Graph, a *arch.CGRA, req Request) Key {
 // the boundary instead of silently fingerprinting a name no mapper
 // answers to.
 func CanonicalMapper(name string) (canonical string, ok bool) {
-	switch s := strings.ToLower(name); s {
+	switch s := strings.ToLower(strings.TrimSpace(name)); s {
 	case "", "rewire":
 		return "rewire", true
 	case "pf", "pf*", "pathfinder":
@@ -133,8 +137,8 @@ func DFGFingerprint(g *dfg.Graph) string {
 // OptionsFingerprint canonically serialises the fingerprint-relevant
 // options. The mapper name must be one CanonicalMapper accepts —
 // fingerprinting a name no mapper answers to would cache-key garbage,
-// so an unknown name panics (callers validate at their boundary, same
-// as eval's unknown-mapper panic). The backend-subset component is
+// so an unknown name panics (portfolio.Request.Fingerprint rejects it
+// with an error first). The backend-subset component is
 // appended only for portfolio requests, keeping every pre-portfolio
 // fingerprint byte-identical to what it was.
 func OptionsFingerprint(req Request) string {

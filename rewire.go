@@ -154,7 +154,8 @@ const (
 // Options tunes Map. The zero value maps with Rewire under default
 // budgets.
 type Options struct {
-	// Mapper selects the algorithm (default MapperRewire).
+	// Mapper selects the algorithm (default MapperRewire). Aliases name
+	// the same mapper in any case: "pf" and "PF*" are MapperPathFinder.
 	Mapper MapperName
 	// Seed drives all randomness; equal seeds reproduce runs exactly.
 	Seed int64
@@ -238,30 +239,15 @@ var optionFingerprintClass = map[string]bool{
 // CacheKey returns the canonical content-address of one mapping
 // request: the string form of the (DFG fingerprint, architecture
 // fingerprint, options fingerprint) triple. Equal keys commit
-// bit-identical mappings. The serve daemon uses it to deduplicate
-// batch entries before compiling.
+// bit-identical mappings; an unset budget keys as its default, so
+// Options{} and the same options with the defaults written out share a
+// key. It panics on a mapper or backend name Map rejects.
 func CacheKey(g *DFG, cgra *CGRA, opt Options) string {
-	return cacheKeyFor(g, cgra, opt).String()
-}
-
-func cacheKeyFor(g *DFG, cgra *CGRA, opt Options) resultcache.Key {
-	req := resultcache.Request{
-		Mapper:    string(opt.Mapper),
-		Seed:      opt.Seed,
-		TimePerII: opt.TimePerII,
-		MaxII:     opt.MaxII,
+	fp, err := request(opt).Fingerprint()
+	if err != nil {
+		panic("rewire: " + err.Error())
 	}
-	if opt.Mapper == MapperPortfolio {
-		// The backend subset is part of what the portfolio computes;
-		// Canonical folds aliases and ordering so equivalent subsets
-		// share a key. Invalid subsets were rejected by validMapper.
-		csv, err := portfolio.Canonical(opt.PortfolioBackends)
-		if err != nil {
-			panic(err.Error())
-		}
-		req.Backends = csv
-	}
-	return resultcache.KeyFor(g, cgra, req)
+	return resultcache.KeyFor(g, cgra, fp).String()
 }
 
 // New4x4 builds the paper's 4x4 CGRA preset with the given register-file
@@ -331,44 +317,20 @@ func MapCtx(ctx context.Context, g *DFG, cgra *CGRA, opt Options) (*Mapping, Res
 // cached: failure can be budget-dependent, so only successes are
 // content-addressable. See docs/CACHING.md.
 func MapCached(ctx context.Context, g *DFG, cgra *CGRA, opt Options) (*Mapping, Result, CacheOutcome, error) {
-	if err := validMapper(opt); err != nil {
-		return nil, Result{}, CacheOutcome{}, err
-	}
-	if opt.Cache == nil {
-		m, res := mapUncached(ctx, g, cgra, opt)
-		return m, res, CacheOutcome{}, noMappingErr(m, g, cgra, opt, res)
-	}
-	m, res, out, err := opt.Cache.Do(ctx, cacheKeyFor(g, cgra, opt), func() (*Mapping, Result) {
-		return mapUncached(ctx, g, cgra, opt)
-	})
+	m, res, out, err := request(opt).Map(ctx, g, cgra, opt.Cache)
 	if err != nil {
-		return nil, res, out, fmt.Errorf("rewire: mapping %q on %s aborted: %w", g.Name, cgra.Name, err)
+		err = fmt.Errorf("rewire: %w", err)
 	}
-	if out.Hit || out.Shared {
-		// The mappers never ran for this caller: its observer records the
-		// served outcome instead.
-		runOptions(opt).Obs.Served(g, cgra, string(mapperOf(opt)), res)
-	}
-	return m, res, out, noMappingErr(m, g, cgra, opt, res)
+	return m, res, out, err
 }
 
-// mapUncached runs the selected mapper's plan from the backend table
-// through the one mapper driver. The mapper is already validated.
-func mapUncached(ctx context.Context, g *DFG, cgra *CGRA, opt Options) (*Mapping, Result) {
-	plan, err := portfolio.Plan(string(mapperOf(opt)), opt.PortfolioBackends,
-		opt.SweepParallelism, opt.PortfolioParallelism)
-	if err != nil {
-		panic(err.Error())
+// request is the mapping request opt states.
+func request(opt Options) portfolio.Request {
+	return portfolio.Request{
+		Mapper: string(opt.Mapper), Backends: opt.PortfolioBackends,
+		SweepWidth: opt.SweepParallelism, LaneWidth: opt.PortfolioParallelism,
+		RunOptions: runOptions(opt),
 	}
-	return sweep.Drive(ctx, g, cgra, plan, runOptions(opt))
-}
-
-// mapperOf is the selected mapper, Rewire by default.
-func mapperOf(opt Options) MapperName {
-	if opt.Mapper == "" {
-		return MapperRewire
-	}
-	return opt.Mapper
 }
 
 // runOptions is the slice of opt every mapper run shares.
@@ -377,36 +339,6 @@ func runOptions(opt Options) sweep.RunOptions {
 		Seed: opt.Seed, TimePerII: opt.TimePerII, MaxII: opt.MaxII,
 		Tracer: opt.Tracer, Obs: diag.NewObserver(opt.Logger, opt.Diag, opt.Progress),
 	}
-}
-
-func validMapper(opt Options) error {
-	switch opt.Mapper {
-	case MapperRewire, MapperPathFinder, MapperSA, "":
-		return nil
-	case MapperPortfolio:
-		if _, err := portfolio.Canonical(opt.PortfolioBackends); err != nil {
-			return fmt.Errorf("rewire: %w", err)
-		}
-		return nil
-	default:
-		return fmt.Errorf("rewire: unknown mapper %q", opt.Mapper)
-	}
-}
-
-// noMappingErr converts a nil mapping into the standard failure error.
-func noMappingErr(m *Mapping, g *DFG, cgra *CGRA, opt Options, res Result) error {
-	if m != nil {
-		return nil
-	}
-	return fmt.Errorf("rewire: no valid mapping for %q on %s within II<=%d (MII=%d)",
-		g.Name, cgra.Name, maxOr(opt.MaxII, 32), res.MII)
-}
-
-func maxOr(v, dflt int) int {
-	if v == 0 {
-		return dflt
-	}
-	return v
 }
 
 // Validate independently re-checks a mapping: placements on compatible

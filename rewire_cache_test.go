@@ -144,3 +144,23 @@ func TestMapCachedOutcomes(t *testing.T) {
 		t.Fatalf("stats = %+v, want 1 miss and 2 hits", st)
 	}
 }
+
+// TestUnsetBudgetsKeyAsDefaults checks that a request which leaves the
+// budgets unset and one that spells the driver's defaults out share a
+// cache key, single mapper and portfolio alike. rewire-serve's
+// TestLedgerFingerprintsMatchEval checks the same identity across the
+// eval harness and the daemon's ledger records.
+func TestUnsetBudgetsKeyAsDefaults(t *testing.T) {
+	g, err := LoadKernel("mvt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cgra := New4x4(4)
+	for _, m := range []MapperName{"", MapperPortfolio} {
+		unset := Options{Mapper: m, Seed: 3}
+		explicit := Options{Mapper: m, Seed: 3, TimePerII: 10 * time.Second, MaxII: 32}
+		if CacheKey(g, cgra, unset) != CacheKey(g, cgra, explicit) {
+			t.Errorf("mapper %q: unset budgets and the explicit defaults key differently", m)
+		}
+	}
+}

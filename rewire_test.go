@@ -42,7 +42,8 @@ func TestAllMappersViaFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	cgra := New4x4(4)
-	for _, name := range []MapperName{MapperRewire, MapperPathFinder, MapperSA} {
+	// "pf" is an alias of MapperPathFinder, as on the CLIs and the daemon.
+	for _, name := range []MapperName{MapperRewire, MapperPathFinder, MapperSA, "pf"} {
 		m, res, err := Map(g, cgra, Options{Mapper: name, Seed: 1, TimePerII: 2 * time.Second})
 		if err != nil {
 			t.Errorf("%s: %v", name, err)
