@@ -124,9 +124,16 @@ func AttemptII(ctx context.Context, g *dfg.Graph, a *arch.CGRA, ii int, seed int
 		st.RemapIterations += an.moves
 		ctr.moves.Add(int64(an.moves))
 		// Each restart owns a fresh router; fold its work in win or
-		// lose so RouterExpansions covers the whole search.
+		// lose so RouterExpansions covers the whole search, and before
+		// the diagnostic-only failure attribution searches, so the
+		// effort counters do not depend on whether a collector is
+		// attached.
 		st.RouterExpansions += an.router.Expansions
 		ctr.routerExpansions.Add(an.router.Expansions)
+		if !ok {
+			an.attributeFailure()
+			an.clearRoutes()
+		}
 		rSpan.WithBool("ok", ok).WithInt("moves", int64(an.moves)).End()
 		an.att.End(ok, ctx.Err() != nil, an.moves, an.sess)
 		if !ok {
@@ -240,12 +247,7 @@ func (an *annealer) run(opt Options, pace *sweep.Pacer) bool {
 			}
 		}
 	}
-	if cost < penaltyUnroutable && an.routeAll() {
-		return true
-	}
-	an.attributeFailure()
-	an.clearRoutes()
-	return false
+	return cost < penaltyUnroutable && an.routeAll()
 }
 
 // attributeFailure feeds the post-mortem on a failed restart: it

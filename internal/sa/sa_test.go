@@ -6,8 +6,10 @@ import (
 
 	"rewire/internal/arch"
 	"rewire/internal/dfg"
+	"rewire/internal/diag"
 	"rewire/internal/kernels"
 	"rewire/internal/mapping"
+	"rewire/internal/stats"
 	"rewire/internal/sweep"
 )
 
@@ -96,5 +98,26 @@ func TestFailsGracefullyWhenImpossible(t *testing.T) {
 	}
 	if res.MII != 8 {
 		t.Fatalf("MII = %d, want 8", res.MII)
+	}
+}
+
+// TestEffortIndependentOfCollector maps the same requests with and
+// without a post-mortem collector: failure attribution is diagnostic
+// only, so the effort counters must not move.
+func TestEffortIndependentOfCollector(t *testing.T) {
+	for _, k := range []string{"mvt", "atax"} {
+		g := kernels.MustLoad(k)
+		run := func(dc *diag.Collector) stats.Result {
+			_, res := Map(g, arch.New4x4(4), Options{RunOptions: sweep.RunOptions{
+				Seed: 7, TimePerII: time.Hour, Obs: diag.NewObserver(nil, dc, nil)}})
+			return res
+		}
+		plain, diagnosed := run(nil), run(diag.NewCollector())
+		if plain.II != diagnosed.II || plain.RouterExpansions != diagnosed.RouterExpansions ||
+			plain.RemapIterations != diagnosed.RemapIterations {
+			t.Errorf("%s: II %d, expansions %d, moves %d without a collector; II %d, expansions %d, moves %d with one",
+				k, plain.II, plain.RouterExpansions, plain.RemapIterations,
+				diagnosed.II, diagnosed.RouterExpansions, diagnosed.RemapIterations)
+		}
 	}
 }
