@@ -146,7 +146,8 @@ type IIAttempt struct {
 // Round records one negotiation round (an amendment round, a PF* remap
 // iteration, an SA routing attempt) and the ill-mapped node count after
 // it — the convergence series — and, when publish is set, publishes it
-// as a round event numbered round.
+// as a round event numbered round, labelled with the attempt's II,
+// number and lane like its attempt_start.
 func (a *IIAttempt) Round(round, ill int, publish bool) {
 	if a == nil {
 		return
@@ -158,7 +159,7 @@ func (a *IIAttempt) Round(round, ill int, publish bool) {
 		}
 	}
 	if publish {
-		a.bus.Publish(Event{Type: "round", II: a.ii, Round: round, Ill: ill})
+		a.bus.Publish(Event{Type: "round", II: a.ii, Attempt: a.attempt, Round: round, Ill: ill, Lane: a.lane})
 	}
 }
 

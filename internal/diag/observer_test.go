@@ -38,6 +38,9 @@ func TestObserverBoundaries(t *testing.T) {
 	if e := evs[2]; e.Lane != "sa" || e.Attempt != 1 || e.II != 2 {
 		t.Fatalf("attempt_start = %+v, want lane sa, attempt 1 at II 2", e)
 	}
+	if e := evs[3]; e.Lane != "sa" || e.Attempt != 1 || e.II != 2 || e.Round != 25 || e.Ill != 1 {
+		t.Fatalf("round = %+v, want round 25 (ill 1) of lane sa, attempt 1 at II 2", e)
+	}
 	if e := evs[4]; e.Round != 50 || e.Outcome != "ok" || e.Lane != "sa" {
 		t.Fatalf("attempt_end = %+v, want 50 rounds, ok, lane sa", e)
 	}
