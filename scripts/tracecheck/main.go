@@ -249,9 +249,11 @@ func checkTraceJSONL(path string, sc *bufio.Scanner) error {
 // line: every event parses, sequence numbers strictly increase, and
 // attempt boundaries nest correctly. When the bus dropped nothing the
 // stream is complete, so the checks tighten: the first sequence is 1,
-// every attempt_end closes a seen attempt_start, and a run_end (when
-// present) is the final event. A dropped-oldest stream (meta.dropped >
-// 0) is a tail, so an end without its start is legitimate there.
+// every attempt_end closes a seen attempt_start, every round falls
+// inside an open attempt with the same (II, lane, attempt), and a
+// run_end (when present) is the final event. A dropped-oldest stream
+// (meta.dropped > 0) is a tail, so an end or a round without its start
+// is legitimate there.
 func checkProgressJSONL(path string, sc *bufio.Scanner, dropped uint64) error {
 	type attemptKey struct {
 		lane        string
@@ -305,6 +307,10 @@ func checkProgressJSONL(path string, sc *bufio.Scanner, dropped uint64) error {
 				return fmt.Errorf("line %d: attempt II=%d #%d ends without a start", line, ev.II, ev.Attempt)
 			}
 			delete(open, k)
+		case "round":
+			if !open[k] && dropped == 0 {
+				return fmt.Errorf("line %d: round at II=%d #%d (lane %q) outside an open attempt", line, ev.II, ev.Attempt, ev.Lane)
+			}
 		}
 		lastSeq, lastType = ev.Seq, ev.Type
 		events++

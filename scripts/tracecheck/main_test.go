@@ -101,3 +101,40 @@ func TestReportDirCrossCheck(t *testing.T) {
 		}
 	}
 }
+
+// TestProgressRoundsInsideAttempts checks that a round must name an
+// open attempt by (II, lane, attempt): a portfolio round without its
+// lane matches none of the racing lanes' attempts.
+func TestProgressRoundsInsideAttempts(t *testing.T) {
+	portfolio := func(round string) []string {
+		return []string{
+			`{"seq":1,"type":"run_start","mii":3}`,
+			`{"seq":2,"type":"attempt_start","ii":3,"lane":"rewire"}`,
+			`{"seq":3,"type":"attempt_start","ii":3,"attempt":1,"lane":"pathfinder"}`,
+			round,
+			`{"seq":5,"type":"attempt_end","ii":3,"lane":"rewire","outcome":"ok"}`,
+			`{"seq":6,"type":"attempt_end","ii":3,"attempt":1,"lane":"pathfinder","outcome":"cancelled"}`,
+			`{"seq":7,"type":"run_end","ii":3,"outcome":"ok","lane":"rewire"}`,
+		}
+	}
+	for _, c := range []struct {
+		name    string
+		dropped int
+		events  []string
+		wantErr string
+	}{
+		{"labelled", 0, portfolio(`{"seq":4,"type":"round","ii":3,"attempt":1,"lane":"pathfinder","round":32}`), ""},
+		{"lane-less", 0, portfolio(`{"seq":4,"type":"round","ii":3,"round":32}`), "outside an open attempt"},
+		{"wrong attempt", 0, portfolio(`{"seq":4,"type":"round","ii":3,"attempt":2,"lane":"pathfinder","round":32}`), "outside an open attempt"},
+		{"after its end", 0, append(mappedRun[:3:3], `{"seq":4,"type":"round","ii":2,"round":1}`), "outside an open attempt"},
+		{"dropped tail skips", 3, portfolio(`{"seq":4,"type":"round","ii":3,"round":32}`)[3:], ""},
+	} {
+		err := checkReportDir(writeReportDir(t, c.dropped, `{"success":true,"ii":3,"attempts":[{},{}]}`, c.events...))
+		switch {
+		case c.wantErr == "" && err != nil:
+			t.Errorf("%s: %v", c.name, err)
+		case c.wantErr != "" && (err == nil || !strings.Contains(err.Error(), c.wantErr)):
+			t.Errorf("%s: err = %v, want %q", c.name, err, c.wantErr)
+		}
+	}
+}
