@@ -47,7 +47,7 @@ func main() {
 		seed     = flag.Int64("seed", 1, "random seed for all mappers")
 		budget   = flag.Duration("time-per-ii", 2*time.Second, "per-II wall-clock budget per mapper")
 		jobs     = flag.Int("j", runtime.NumCPU(), "concurrent mapper runs (1 = serial)")
-		sweepJ   = flag.Int("sweep-j", 1, "speculative II-sweep window per run (1 = serial; IIs and mappings are bit-identical at any width)")
+		sweepJ   = flag.Int("sweep-j", 1, "speculative II-sweep window per run (1 = serial, the default: the -j pool already fills the cores; IIs and mappings are bit-identical at any width)")
 		mapperF  = flag.String("mapper", "", "comma-separated mapper filter: rewire, pathfinder, sa, portfolio (default: the paper's three)")
 		pfolioB  = flag.String("portfolio-backends", "", "backend subset raced by portfolio runs (default: every registered backend)")
 		pfolioJ  = flag.Int("portfolio-j", 0, "portfolio lane window (0 = one lane per backend, 1 = serial priority order; committed results are width-independent)")

@@ -38,7 +38,7 @@ func main() {
 		seed     = flag.Int64("seed", 1, "random seed (runs are reproducible per seed)")
 		budget   = flag.Duration("time-per-ii", 5*time.Second, "wall-clock budget per attempted II")
 		maxII    = flag.Int("max-ii", 32, "largest II to attempt")
-		sweepJ   = flag.Int("sweep-j", 1, "speculative II-sweep window: II attempts run concurrently (1 = serial; results are bit-identical at any width)")
+		sweepJ   = flag.Int("sweep-j", 0, "speculative II-sweep window: II attempts run concurrently (0 = one per core, or serial when -trace or -trace-jsonl is set; 1 = serial; results are bit-identical at any width)")
 		pfolioB  = flag.String("portfolio-backends", "", "comma-separated backend subset for -mapper portfolio (default: every registered backend, rewire,pathfinder,sa)")
 		pfolioJ  = flag.Int("portfolio-j", 0, "portfolio lane window: racing lanes run concurrently (0 = one lane per backend, 1 = serial priority order; the committed result is bit-identical at any width)")
 		cacheCap = flag.Int("result-cache", 0, "result-cache capacity in finished mappings (0 disables; a warm hit skips the compile entirely)")

@@ -113,8 +113,11 @@ func TestCachedMappingDeterminism(t *testing.T) {
 			// with any cached entry: same kernel, unseen seed, fresh cache
 			// stats would be a miss. Checking via the key is cheap and
 			// deterministic.
-			k1 := rewire.CacheKey(g, cgra, opts(rq.seed, nil))
-			k2 := rewire.CacheKey(g, cgra, opts(rq.seed+1000, nil))
+			k1, err1 := rewire.CacheKey(g, cgra, opts(rq.seed, nil))
+			k2, err2 := rewire.CacheKey(g, cgra, opts(rq.seed+1000, nil))
+			if err1 != nil || err2 != nil {
+				t.Fatal(err1, err2)
+			}
 			if k1 == k2 {
 				t.Fatal("near-identical requests (seed +1000) share a fingerprint")
 			}

@@ -39,7 +39,7 @@ func TestOptionsFingerprintHonesty(t *testing.T) {
 	}
 	cgra := New4x4(4)
 	base := Options{Mapper: MapperRewire, Seed: 1, TimePerII: time.Second, MaxII: 16}
-	baseKey := CacheKey(g, cgra, base)
+	baseKey := mustKey(t, g, cgra, base)
 
 	variants := map[string]Options{
 		"Mapper":           {Mapper: MapperSA, Seed: 1, TimePerII: time.Second, MaxII: 16},
@@ -64,7 +64,7 @@ func TestOptionsFingerprintHonesty(t *testing.T) {
 			t.Errorf("no variant exercises Options.%s; add one", field)
 			continue
 		}
-		moved := CacheKey(g, cgra, opt) != baseKey
+		moved := mustKey(t, g, cgra, opt) != baseKey
 		if relevant && !moved {
 			t.Errorf("Options.%s is classified fingerprint-relevant but does not change CacheKey", field)
 		}
@@ -76,24 +76,56 @@ func TestOptionsFingerprintHonesty(t *testing.T) {
 	// The portfolio fields key against a portfolio base: the backend
 	// subset exists only under MapperPortfolio.
 	pbase := Options{Mapper: MapperPortfolio, Seed: 1, TimePerII: time.Second, MaxII: 16}
-	pbaseKey := CacheKey(g, cgra, pbase)
+	pbaseKey := mustKey(t, g, cgra, pbase)
 	if pbaseKey == baseKey {
 		t.Error("portfolio requests must not share keys with single-mapper requests")
 	}
 	psub := pbase
 	psub.PortfolioBackends = []string{"rewire", "sa"}
-	if CacheKey(g, cgra, psub) == pbaseKey {
+	if mustKey(t, g, cgra, psub) == pbaseKey {
 		t.Error("Options.PortfolioBackends is classified fingerprint-relevant but does not change CacheKey")
 	}
 	palias := pbase
 	palias.PortfolioBackends = []string{"sa", "PF*", "Rewire"} // the full set, spelled badly
-	if CacheKey(g, cgra, palias) != pbaseKey {
+	if mustKey(t, g, cgra, palias) != pbaseKey {
 		t.Error("equivalent PortfolioBackends spellings must share a cache key")
 	}
 	pj := pbase
 	pj.PortfolioParallelism = 8
-	if CacheKey(g, cgra, pj) != pbaseKey {
+	if mustKey(t, g, cgra, pj) != pbaseKey {
 		t.Error("Options.PortfolioParallelism is classified exempt but changes CacheKey")
+	}
+}
+
+// mustKey is CacheKey for options the test knows are valid.
+func mustKey(t *testing.T, g *DFG, cgra *CGRA, opt Options) string {
+	t.Helper()
+	k, err := CacheKey(g, cgra, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return k
+}
+
+// TestCacheKeyRejectsUnknownNames: a mapper or backend name Map
+// rejects makes CacheKey fail the same way, with an error, not a panic.
+func TestCacheKeyRejectsUnknownNames(t *testing.T) {
+	g, err := LoadKernel("mvt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cgra := New4x4(4)
+	for _, opt := range []Options{
+		{Mapper: "magic"},
+		{Mapper: MapperPortfolio, PortfolioBackends: []string{"nope"}},
+	} {
+		k, err := CacheKey(g, cgra, opt)
+		if err == nil {
+			t.Errorf("CacheKey(%+v) = %q, want an error", opt, k)
+		}
+		if _, _, mapErr := Map(g, cgra, opt); mapErr == nil {
+			t.Errorf("Map(%+v) succeeded, want an error", opt)
+		}
 	}
 }
 
@@ -159,7 +191,7 @@ func TestUnsetBudgetsKeyAsDefaults(t *testing.T) {
 	for _, m := range []MapperName{"", MapperPortfolio} {
 		unset := Options{Mapper: m, Seed: 3}
 		explicit := Options{Mapper: m, Seed: 3, TimePerII: 10 * time.Second, MaxII: 32}
-		if CacheKey(g, cgra, unset) != CacheKey(g, cgra, explicit) {
+		if mustKey(t, g, cgra, unset) != mustKey(t, g, cgra, explicit) {
 			t.Errorf("mapper %q: unset budgets and the explicit defaults key differently", m)
 		}
 	}
