@@ -21,24 +21,26 @@ var update = flag.Bool("update", false, "rewrite testdata/golden.json from the c
 const goldenPath = "testdata/golden.json"
 
 // goldenRun pins everything one mapping run decided. Width-independent
-// fields are pinned at every width; the progress-event sequence and the
-// per-name span counts depend on the schedule, so they are pinned at
-// width 1 (the serial sweep) only.
+// fields are pinned at every width; the progress-event sequence, the
+// per-name span counts and the tracer's counter totals depend on the
+// schedule (at width > 1 the counters also book cancelled speculative
+// attempts), so they are pinned at width 1 (the serial sweep) only.
 type goldenRun struct {
-	Success           bool           `json:"success"`
-	II                int            `json:"ii"`
-	MII               int            `json:"mii"`
-	RemapIterations   int            `json:"remap_iterations"`
-	ClusterAmendments int            `json:"cluster_amendments"`
-	PlacementsTried   int64          `json:"placements_tried"`
-	VerifyAttempts    int64          `json:"verify_attempts"`
-	VerifySuccesses   int64          `json:"verify_successes"`
-	RouterExpansions  int64          `json:"router_expansions"`
-	Winner            string         `json:"winner,omitempty"`
-	Mapping           string         `json:"mapping,omitempty"`
-	Events            string         `json:"events,omitempty"`
-	NumEvents         int            `json:"num_events,omitempty"`
-	Spans             map[string]int `json:"spans,omitempty"`
+	Success           bool             `json:"success"`
+	II                int              `json:"ii"`
+	MII               int              `json:"mii"`
+	RemapIterations   int              `json:"remap_iterations"`
+	ClusterAmendments int              `json:"cluster_amendments"`
+	PlacementsTried   int64            `json:"placements_tried"`
+	VerifyAttempts    int64            `json:"verify_attempts"`
+	VerifySuccesses   int64            `json:"verify_successes"`
+	RouterExpansions  int64            `json:"router_expansions"`
+	Winner            string           `json:"winner,omitempty"`
+	Mapping           string           `json:"mapping,omitempty"`
+	Events            string           `json:"events,omitempty"`
+	NumEvents         int              `json:"num_events,omitempty"`
+	Spans             map[string]int   `json:"spans,omitempty"`
+	Counters          map[string]int64 `json:"counters,omitempty"`
 }
 
 // goldenCase is one run of the matrix, keyed by its name.
@@ -128,6 +130,7 @@ func runGolden(t *testing.T, c goldenCase) goldenRun {
 		for _, s := range opt.Tracer.Spans() {
 			out.Spans[s.Name]++
 		}
+		out.Counters = opt.Tracer.CounterTotals()
 	}
 	return out
 }
