@@ -39,24 +39,26 @@ func Amend(m *mapping.Mapping, opt Options) (*mapping.Mapping, stats.Result, err
 		sess:   sess,
 		router: route.ForSession(sess),
 		rng:    rand.New(rand.NewSource(opt.Seed)),
-		res:    &res,
+		eff:    &res.Effort,
 		opt:    opt,
 		pace:   sweep.NewPacer(context.Background(), time.Now().Add(opt.TimePerII), paceEvery),
 		tr:     tr,
-		ctr:    newCounters(tr),
+		hists:  newHists(tr),
 		span:   root,
 		att:    att,
 	}
 	am.router.Instrument(tr)
 	ok := am.amend()
+	// The router retires here: book its work on failure too (the audit
+	// contract: the tally is filled on every path, not only successes),
+	// and before the diagnostic-only failure attribution searches, so
+	// the tally does not depend on whether a collector is attached.
+	res.RouterExpansions = am.router.Expansions
+	res.Effort.Fill(tr, "", true)
 	if !ok {
 		route.AttributeFailures(att, am.sess, am.router)
 	}
 	att.End(ok, false, 0, am.sess)
-	// Count router work on failure too (the audit contract: effort
-	// counters are filled on every path, not only successes).
-	res.RouterExpansions = am.router.Expansions
-	am.ctr.routerExpansions.Add(am.router.Expansions)
 	defer am.sess.Close()
 	if !ok {
 		res.Duration = time.Since(start)

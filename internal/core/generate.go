@@ -71,28 +71,21 @@ func (g *generator) assign(i int) bool {
 	}
 	v := g.u.nodes[i]
 	for _, c := range g.cands[v] {
-		g.a.res.PlacementsTried++
-		g.a.ctr.placementsTried.Add(1)
-		if !g.admissible(i, v, c) {
-			g.a.ctr.placementsPruned.Add(1)
-			continue
-		}
-		if g.a.sess.PlaceNode(v, c.pe, c.T) != nil {
-			g.a.ctr.placementsPruned.Add(1)
+		g.a.eff.PlacementsTried++
+		if !g.admissible(i, v, c) || g.a.sess.PlaceNode(v, c.pe, c.T) != nil {
+			g.a.eff.PlacementsPruned++
 			continue
 		}
 		// Only routed placement trials count against the budget; the
 		// cheap execution-cycle rejections above are nearly free.
 		*g.budget--
-		g.a.res.VerifyAttempts++
-		g.a.ctr.verifyAttempts.Add(1)
+		g.a.eff.VerifyAttempts++
 		vs := g.a.tr.StartSpan(g.span, "verify").
 			WithInt("node", int64(v)).WithInt("pe", int64(c.pe)).WithInt("t", int64(c.T))
 		routed, ok := g.routeNode(i, v)
 		vs.WithBool("ok", ok).End()
 		if ok {
-			g.a.res.VerifySuccesses++
-			g.a.ctr.verifySuccesses.Add(1)
+			g.a.eff.VerifySuccesses++
 			g.chosen[i] = c
 			if g.assign(i + 1) {
 				return true

@@ -2,43 +2,22 @@ package core
 
 import "rewire/internal/trace"
 
-// counters caches the tracer's metric handles so the amendment loops pay
-// one nil-safe atomic Add instead of a name lookup. Every field is nil
-// when tracing is disabled, and all the Add/Observe methods are no-ops
-// on nil, so call sites never branch.
-//
-// Counter names are shared with the other mappers (see
-// docs/OBSERVABILITY.md): a run's counter totals mirror its
-// stats.Result — every stats increment has a counter Add next to it.
-type counters struct {
-	placementsTried   *trace.Counter
-	placementsPruned  *trace.Counter
-	verifyAttempts    *trace.Counter
-	verifySuccesses   *trace.Counter
-	clusterAmendments *trace.Counter
-	routerExpansions  *trace.Counter
-	tuples            *trace.Counter
-	tuplesDeduped     *trace.Counter
-	pcands            *trace.Counter
-	clusterSize       *trace.Histogram
-	pcandsPerNode     *trace.Histogram
+// hists caches the tracer's histogram handles so the amendment loops pay
+// one nil check instead of a name lookup. Both are nil when tracing is
+// disabled, and Observe is a no-op on nil, so call sites never branch.
+// The work counters are not here: they are filled from the attempt's
+// stats.Effort tally when the attempt ends (docs/OBSERVABILITY.md).
+type hists struct {
+	clusterSize   *trace.Histogram
+	pcandsPerNode *trace.Histogram
 }
 
-func newCounters(tr *trace.Tracer) counters {
+func newHists(tr *trace.Tracer) hists {
 	if !tr.Enabled() {
-		return counters{}
+		return hists{}
 	}
-	return counters{
-		placementsTried:   tr.Counter("placements.tried"),
-		placementsPruned:  tr.Counter("placements.pruned"),
-		verifyAttempts:    tr.Counter("verify.attempts"),
-		verifySuccesses:   tr.Counter("verify.successes"),
-		clusterAmendments: tr.Counter("cluster.amendments"),
-		routerExpansions:  tr.Counter("route.expansions"),
-		tuples:            tr.Counter("propagate.tuples"),
-		tuplesDeduped:     tr.Counter("propagate.tuples_deduped"),
-		pcands:            tr.Counter("intersect.pcandidates"),
-		clusterSize:       tr.Histogram("cluster.size"),
-		pcandsPerNode:     tr.Histogram("intersect.pcandidates_per_node"),
+	return hists{
+		clusterSize:   tr.Histogram("cluster.size"),
+		pcandsPerNode: tr.Histogram("intersect.pcandidates_per_node"),
 	}
 }

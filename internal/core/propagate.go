@@ -48,10 +48,11 @@ type propagation struct {
 	nArrivePEs  int
 	// frontA/frontB are the BFS frontier double-buffer.
 	frontA, frontB []mrrg.Node
-	// dedups counts tuples suppressed by the per-(PE, cycles) dedup rule;
-	// a plain int because each flood is single-goroutine, folded into the
-	// tracer's propagate.tuples_deduped counter afterwards.
-	dedups int
+	// tuples counts the tuples the flood kept and dedups the ones the
+	// per-(PE, cycles) rule suppressed; plain ints because each flood is
+	// single-goroutine, summed into the attempt's tally once the
+	// propagateAll pool has joined.
+	tuples, dedups int
 }
 
 // propPool recycles propagation headers together with their arrival
@@ -70,7 +71,7 @@ func getProp(numPEs int) *propagation {
 	}
 	p.arriveEpoch++
 	p.nArrivePEs = 0
-	p.dedups = 0
+	p.tuples, p.dedups = 0, 0
 	return p
 }
 
@@ -176,25 +177,15 @@ func (a *amender) propagateAll(u *cluster) map[int]*propagation {
 	results := scr.results[:len(tasks)]
 	ps := a.tr.StartSpan(a.cur, "propagate").
 		WithInt("anchors", int64(len(tasks))).WithInt("rounds", int64(rounds))
-	// runTask floods one anchor under its own probe span. Span starts and
-	// counter adds are tracer-synchronised, so the instrumentation is
-	// worker-pool-safe; with tracing disabled every call is a nil check.
+	// runTask floods one anchor under its own probe span. Span starts are
+	// tracer-synchronised, so the instrumentation is worker-pool-safe;
+	// with tracing disabled every call is a nil check. Each flood counts
+	// its own tuples; the tally sums them after the pool joins.
 	runTask := func(i int, t propTask) {
 		sp := a.tr.StartSpan(ps, "probe").
 			WithInt("anchor", int64(t.source)).WithBool("forward", t.forward)
 		p := a.propagate(t.source, t.forward, rounds)
-		if a.tr.Enabled() {
-			tuples := 0
-			for q := range p.arriveStamp {
-				if p.arriveStamp[q] == p.arriveEpoch {
-					tuples += len(p.arrive[q])
-				}
-			}
-			a.ctr.tuples.Add(int64(tuples))
-			a.ctr.tuplesDeduped.Add(int64(p.dedups))
-			sp.WithInt("tuples", int64(tuples)).WithInt("deduped", int64(p.dedups))
-		}
-		sp.End()
+		sp.WithInt("tuples", int64(p.tuples)).WithInt("deduped", int64(p.dedups)).End()
 		results[i] = p
 	}
 
@@ -230,6 +221,8 @@ func (a *amender) propagateAll(u *cluster) map[int]*propagation {
 	clear(props)
 	for i, t := range tasks {
 		props[t.key] = results[i]
+		a.eff.PropagateTuples += int64(results[i].tuples)
+		a.eff.TuplesDeduped += int64(results[i].dedups)
 	}
 	return props
 }
@@ -450,6 +443,7 @@ func (p *propagation) emit(n mrrg.Node, e int, state int32) {
 		p.dedups++
 		return
 	}
+	p.tuples++
 	p.arrive[q] = append(list, arrival{cycles: cycles, endState: state})
 }
 

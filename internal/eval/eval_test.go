@@ -76,9 +76,11 @@ func fakeResults() *Results {
 			res := stats.Result{
 				Mapper: m, Kernel: cb.Kernel, Arch: cb.Arch.Name,
 				Success: true, MII: mii, II: mii + mi, // Rewire best, SA worst
-				Duration:        time.Duration(1+mi) * 10 * time.Millisecond,
-				RemapIterations: 100 * mi,
-				VerifyAttempts:  20, VerifySuccesses: 19,
+				Duration: time.Duration(1+mi) * 10 * time.Millisecond,
+				Effort: stats.Effort{
+					RemapIterations: 100 * mi,
+					VerifyAttempts:  20, VerifySuccesses: 19,
+				},
 			}
 			if m == "SA" && i%5 == 0 {
 				res.Success = false // sprinkle SA failures

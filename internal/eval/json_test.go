@@ -27,9 +27,12 @@ func TestResultsJSONRoundTrip(t *testing.T) {
 			in.ByRun[runKey(mapper, cb)] = stats.Result{
 				Mapper: mapper, Kernel: cb.Kernel, Arch: cb.Arch.Name,
 				Success: true, II: 3 + i, MII: 2,
-				RemapIterations: 10 * j, ClusterAmendments: i,
-				PlacementsTried: int64(100*i + j), VerifyAttempts: 7, VerifySuccesses: 6,
-				RouterExpansions: 9999, Duration: time.Duration(i+j) * time.Millisecond,
+				Effort: stats.Effort{
+					RemapIterations: 10 * j, ClusterAmendments: i,
+					PlacementsTried: int64(100*i + j), VerifyAttempts: 7, VerifySuccesses: 6,
+					RouterExpansions: 9999,
+				},
+				Duration: time.Duration(i+j) * time.Millisecond,
 			}
 		}
 	}

@@ -17,10 +17,11 @@ import (
 	"rewire/internal/trace"
 )
 
-// The counters-audit contract: every mapper fills the effort counters of
-// stats.Result on every path, and the tracer's counter totals mirror the
-// stats.Result fields exactly — each res increment has an adjacent
-// Counter.Add, so any drift between the two is an instrumentation bug.
+// The counters-audit contract: every mapper fills its stats.Effort tally
+// on every path, and the tracer's work counters are filled from each
+// ended attempt's tally, so on a serial run the counter totals mirror the
+// stats.Result fields exactly and any drift between the two is an
+// instrumentation bug.
 func TestCountersNonzeroAndMatchTracer(t *testing.T) {
 	cb := Combo{Kernel: "mvt", Arch: arch.New4x4(4)}
 	for _, mapper := range Mappers {

@@ -40,8 +40,7 @@ func (p *perII) placeNodeRef(t *testing.T, v int, beam int) bool {
 		if p.pace.Expired() {
 			break
 		}
-		p.res.PlacementsTried++
-		p.ctr.placementsTried.Add(1)
+		p.eff.PlacementsTried++
 		if err := p.sess.PlaceNode(v, c.pl.PE, c.pl.Time); err != nil {
 			continue
 		}
@@ -153,8 +152,8 @@ func TestPlaceNodeMatchesUnbounded(t *testing.T) {
 		a := fabrics[trial%len(fabrics)]
 		ii := mapping.MII(g, a) + rng.Intn(3)
 		seed := rng.Int63()
-		b := newPerII(g, a, ii, rand.New(rand.NewSource(seed)), &stats.Result{})
-		r := newPerII(g, a, ii, rand.New(rand.NewSource(seed)), &stats.Result{})
+		b := newPerII(g, a, ii, rand.New(rand.NewSource(seed)), &stats.Effort{})
+		r := newPerII(g, a, ii, rand.New(rand.NewSource(seed)), &stats.Effort{})
 		drive(t, []*perII{b, r}, []func(*perII, int) bool{bounded, ref}, 20*g.NumNodes(), func(v int, oks []bool) {
 			t.Helper()
 			calls++
@@ -169,8 +168,8 @@ func TestPlaceNodeMatchesUnbounded(t *testing.T) {
 					t.Fatalf("trial %d node %d: edge %d route %v, reference %v", trial, v, e, b.sess.M.Routes[e], r.sess.M.Routes[e])
 				}
 			}
-			if b.res.PlacementsTried != r.res.PlacementsTried {
-				t.Fatalf("trial %d node %d: PlacementsTried %d, reference %d", trial, v, b.res.PlacementsTried, r.res.PlacementsTried)
+			if b.eff.PlacementsTried != r.eff.PlacementsTried {
+				t.Fatalf("trial %d node %d: PlacementsTried %d, reference %d", trial, v, b.eff.PlacementsTried, r.eff.PlacementsTried)
 			}
 			if b.router.Expansions > r.router.Expansions {
 				t.Fatalf("trial %d node %d: %d expansions, reference %d", trial, v, b.router.Expansions, r.router.Expansions)
@@ -202,7 +201,7 @@ func TestFullCostMatchesRouteCost(t *testing.T) {
 	for _, k := range []string{"atax", "gesummv", "mvt"} {
 		g := kernels.MustLoad(k)
 		for seed := int64(1); seed <= 3; seed++ {
-			p := newPerII(g, a, mapping.MII(g, a), rand.New(rand.NewSource(seed)), &stats.Result{})
+			p := newPerII(g, a, mapping.MII(g, a), rand.New(rand.NewSource(seed)), &stats.Effort{})
 			drive(t, []*perII{p}, []func(*perII, int) bool{ref}, 5*g.NumNodes(), func(int, []bool) {})
 			p.sess.Close()
 		}

@@ -4,11 +4,16 @@
 // counters (cluster amendments, Placement(U) verification rate). The
 // evaluation harness aggregates these into the paper's figures and
 // tables.
+//
+// Effort is the one work tally behind both the Result's effort fields
+// and the tracer's work counters.
 package stats
 
 import (
 	"fmt"
 	"time"
+
+	"rewire/internal/trace"
 )
 
 // Result records one mapping run.
@@ -25,14 +30,38 @@ type Result struct {
 	// MII is the theoretical minimum II for this kernel/architecture.
 	MII int
 
+	// Effort is the run's work: the sum of the explored attempts'
+	// tallies (see Effort for how RemapIterations aggregates).
+	Effort
+
+	// Duration is the mapping wall-clock time.
+	Duration time.Duration
+
+	// Portfolio is the per-backend lane accounting of a portfolio run;
+	// nil for single-mapper runs (whatever their width).
+	Portfolio *PortfolioStats
+}
+
+// Effort is one II attempt's work tally. Each mapper owns one per
+// attempt and adds to it with plain increments (an attempt is
+// single-goroutine; Rewire's probe workers keep their own counts and
+// are summed after the pool joins), and each router adds its Expansions
+// once, when it retires. Fill copies an ended attempt's tally into the
+// tracer's work counters, and Add folds the explored attempts' tallies
+// into the run's Result, so each unit of work is counted in one place.
+//
+// The first six fields are the Result's effort columns (and eval's
+// -json keys); the rest have no column and reach only the tracer.
+type Effort struct {
 	// RemapIterations counts single-node remapping iterations for PF* and
 	// SA (each iteration unmaps one node), matching Table I of the paper.
-	// Its aggregation follows the run kind, which the caller picks (a
-	// single mapper or the portfolio), never an option value: a
-	// single-mapper run reports the mean per explored II (integer
-	// division over the IIs at and below the commit), a portfolio run
-	// the sum over its lanes (PF* remaps plus SA moves). Every other
-	// effort counter below is summed over the explored attempts in both.
+	// An attempt's tally holds that attempt's count. A run's aggregation
+	// follows the run kind, which the caller picks (a single mapper or
+	// the portfolio), never an option value: a single-mapper run reports
+	// the mean per explored II (integer division over the IIs at and
+	// below the commit), a portfolio run the sum over its lanes (PF*
+	// remaps plus SA moves). Every other field is summed over the
+	// explored attempts in both.
 	RemapIterations int
 	// ClusterAmendments counts Rewire's multi-node amendment rounds (one
 	// per cluster mapped in one shot); Rewire's analogue of remapping.
@@ -48,12 +77,59 @@ type Result struct {
 	// hardware-independent proxy for routing work.
 	RouterExpansions int64
 
-	// Duration is the mapping wall-clock time.
-	Duration time.Duration
+	// PlacementsPruned counts Rewire's enumerated placements rejected
+	// before routing (execution-cycle pruning or an occupied slot).
+	PlacementsPruned int64 `json:"-"`
+	// PropagateTuples / TuplesDeduped count the propagation tuples
+	// Rewire's probe floods kept and the ones the per-(PE, cycles) rule
+	// suppressed.
+	PropagateTuples int64 `json:"-"`
+	TuplesDeduped   int64 `json:"-"`
+	// PCandidates counts the placement candidates Rewire's intersection
+	// (Eq. 1) left over all cluster nodes.
+	PCandidates int64 `json:"-"`
+}
 
-	// Portfolio is the per-backend lane accounting of a portfolio run;
-	// nil for single-mapper runs (whatever their width).
-	Portfolio *PortfolioStats
+// Add folds another tally into e.
+func (e *Effort) Add(o Effort) {
+	e.RemapIterations += o.RemapIterations
+	e.ClusterAmendments += o.ClusterAmendments
+	e.PlacementsTried += o.PlacementsTried
+	e.VerifyAttempts += o.VerifyAttempts
+	e.VerifySuccesses += o.VerifySuccesses
+	e.RouterExpansions += o.RouterExpansions
+	e.PlacementsPruned += o.PlacementsPruned
+	e.PropagateTuples += o.PropagateTuples
+	e.TuplesDeduped += o.TuplesDeduped
+	e.PCandidates += o.PCandidates
+}
+
+// Fill adds an ended attempt's tally to tr's work counters; a nil tracer
+// makes it a no-op. Every mapper fills placements.tried and
+// route.expansions. remaps names the counter RemapIterations fills
+// ("pf.remaps" for PF* and for the PF* initial mappings Rewire amends,
+// "sa.moves" for SA, "" for none), and amendment adds the amendment
+// engine's seven counters. Each backend thus emits a fixed counter set,
+// zero values included (docs/OBSERVABILITY.md).
+func (e *Effort) Fill(tr *trace.Tracer, remaps string, amendment bool) {
+	if !tr.Enabled() {
+		return
+	}
+	tr.Counter("placements.tried").Add(e.PlacementsTried)
+	tr.Counter("route.expansions").Add(e.RouterExpansions)
+	if remaps != "" {
+		tr.Counter(remaps).Add(int64(e.RemapIterations))
+	}
+	if !amendment {
+		return
+	}
+	tr.Counter("cluster.amendments").Add(int64(e.ClusterAmendments))
+	tr.Counter("verify.attempts").Add(e.VerifyAttempts)
+	tr.Counter("verify.successes").Add(e.VerifySuccesses)
+	tr.Counter("placements.pruned").Add(e.PlacementsPruned)
+	tr.Counter("propagate.tuples").Add(e.PropagateTuples)
+	tr.Counter("propagate.tuples_deduped").Add(e.TuplesDeduped)
+	tr.Counter("intersect.pcandidates").Add(e.PCandidates)
 }
 
 // PortfolioStats describes one portfolio run: which backend's lane won

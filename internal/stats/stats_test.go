@@ -40,7 +40,7 @@ func TestVerifyRate(t *testing.T) {
 
 func TestStringFormats(t *testing.T) {
 	r := Result{Mapper: "Rewire", Kernel: "fft", Arch: "4x4r4", Success: true, II: 4, MII: 3,
-		Duration: 12 * time.Millisecond, ClusterAmendments: 7}
+		Duration: 12 * time.Millisecond, Effort: Effort{ClusterAmendments: 7}}
 	s := r.String()
 	if !strings.Contains(s, "II=4 (MII=3)") || !strings.Contains(s, "amendments=7") {
 		t.Fatalf("String = %q", s)
