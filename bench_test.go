@@ -414,8 +414,8 @@ func BenchmarkSubPFInitial(b *testing.B) {
 	a := arch.New4x4(4)
 	mii := g.MII(a.NumPEs(), a.NumMemPEs(), a.BankPorts())
 	for i := 0; i < b.N; i++ {
-		var res stats.Result
-		pathfinder.BuildInitial(mapping.New(g, a, mii), int64(i), &res)
+		var eff stats.Effort
+		pathfinder.BuildInitial(mapping.New(g, a, mii), int64(i), &eff)
 	}
 }
 

@@ -18,7 +18,7 @@ func TestAmendRepairsForeignInitialMapping(t *testing.T) {
 	g := kernels.MustLoad("fft")
 	a := arch.New4x4(4)
 	mii := g.MII(a.NumPEs(), a.NumMemPEs(), a.BankPorts())
-	var tmp stats.Result
+	var tmp stats.Effort
 	sess, _ := pathfinder.BuildInitial(mapping.New(g, a, mii+2), 3, &tmp)
 	initial := sess.M.Clone()
 
