@@ -95,6 +95,13 @@ type Graph struct {
 	// the many short-lived sessions of an II sweep or eval run reuse
 	// occupancy arrays instead of reallocating them. See State.Recycle.
 	statePool sync.Pool
+
+	// succRows/predRows are the slot-adjacency bitset rows (SlotRows)
+	// and slotFeed/slotPE the per-slot PE tables (SlotPEs), built on
+	// first use behind rowsOnce.
+	rowsOnce           sync.Once
+	succRows, predRows []uint64
+	slotFeed, slotPE   []int32
 }
 
 // New builds the MRRG of cgra time-extended to ii cycles.
@@ -189,6 +196,57 @@ func (g *Graph) Succs(n Node) []Node { return g.succData[g.succOff[n]:g.succOff[
 // Preds returns the resources that can reach n from one cycle earlier.
 // The slice is owned by the graph and must not be mutated or appended to.
 func (g *Graph) Preds(n Node) []Node { return g.predData[g.predOff[n]:g.predOff[n+1]] }
+
+// SlotWords returns the length in 64-bit words of a slot bitset: one
+// bit per static resource, slot b at bit b%64 of word b/64.
+func (g *Graph) SlotWords() int { return (g.numSlots + 63) >> 6 }
+
+// SlotRows returns the slot-adjacency rows, successors (forward) or
+// predecessors: row a, the SlotWords() words from a*SlotWords(), has bit
+// b set iff an arc leads from slot a to slot b (from b to a backward).
+// connect wires every time step alike and every arc advances one cycle,
+// so one row per slot holds at every time step. The rows are built on
+// first use, so graphs that never flood a probe never pay for them, and
+// they are shared read-only like the rest of the graph.
+func (g *Graph) SlotRows(forward bool) []uint64 {
+	g.rowsOnce.Do(g.buildSlotRows)
+	if forward {
+		return g.succRows
+	}
+	return g.predRows
+}
+
+// SlotPEs returns a per-slot PE table: FeedsPE of each slot (forward)
+// or its PE, -1 for none. Both are the same at every time step; the
+// table is built and shared like SlotRows.
+func (g *Graph) SlotPEs(forward bool) []int32 {
+	g.rowsOnce.Do(g.buildSlotRows)
+	if forward {
+		return g.slotFeed
+	}
+	return g.slotPE
+}
+
+func (g *Graph) buildSlotRows() {
+	pes := make([]int32, 2*g.numSlots)
+	g.slotFeed, g.slotPE = pes[:g.numSlots:g.numSlots], pes[g.numSlots:]
+	w := g.SlotWords()
+	size := g.numSlots * w
+	rows := make([]uint64, 2*size)
+	g.succRows, g.predRows = rows[:size:size], rows[size:]
+	for a := 0; a < g.numSlots; a++ {
+		n := g.node(a, 0)
+		g.slotFeed[a], g.slotPE[a] = g.feedPE[n], g.pe[n]
+		for _, s := range g.Succs(n) {
+			b := g.Slot(s)
+			g.succRows[a*w+b>>6] |= 1 << (b & 63)
+		}
+		for _, p := range g.Preds(n) {
+			b := g.Slot(p)
+			g.predRows[a*w+b>>6] |= 1 << (b & 63)
+		}
+	}
+}
 
 // LinkDir returns the mesh direction of a link resource; it panics on
 // other kinds.

@@ -135,6 +135,24 @@ func (s *State) Admit(n Node, net Net, phase int) (ok, shared bool) {
 	return shared, shared
 }
 
+// FreeRoutingSlots snapshots the free routing resources into free, one
+// slot bitset (G.SlotWords() words) per modulo time step, row t at
+// free[t*G.SlotWords():]: slot b is set in row t iff its node at time t
+// is valid, unoccupied and not a bank port. free must hold II rows.
+func (s *State) FreeRoutingSlots(free []uint64) {
+	g := s.G
+	w := g.SlotWords()
+	clear(free[:g.II*w])
+	for n, occ := range s.occ {
+		if occ != NoNet || !g.valid[n] || g.kind[n] == KindBank {
+			continue
+		}
+		b := int(g.slot[n])
+		t := n - b*g.II
+		free[t*w+b>>6] |= 1 << (b & 63)
+	}
+}
+
 // Reserve claims n for (net, phase). It returns an error if n is invalid
 // or held by a different net or phase.
 func (s *State) Reserve(n Node, net Net, phase int) error {
