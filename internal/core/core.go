@@ -295,19 +295,15 @@ func (a *amender) mapCluster(u *cluster) (ok bool) {
 		props := a.propagateAll(u)
 		cands := a.intersectTraced(u, props)
 		if a.generate(u, cands, props, &budget) {
-			releaseProps(props)
 			return true
 		}
 		if budget <= 0 || len(u.nodes) >= a.opt.ClusterCap {
-			releaseProps(props)
 			return false
 		}
 		// Prefer absorbing the anchor that is starving a candidate-less
 		// node (it is boxed in on the fabric); otherwise the nearest
 		// connected node.
-		grew := a.growTowardsBlocker(u, cands, props) || a.growCluster(u)
-		releaseProps(props)
-		if !grew {
+		if !a.growTowardsBlocker(u, cands, props) && !a.growCluster(u) {
 			return false
 		}
 		if a.pace.ExpiredNow() {

@@ -214,12 +214,12 @@ func (a *amender) repAnchors(start int, towardsParents bool) []int {
 func appendImpliedTimes(dst []int, c srcConstraint, pe, ii int) []int {
 	list := c.prop.cyclesAt(pe)
 	if c.prop.forward {
-		for _, ar := range list {
-			dst = append(dst, c.prop.srcTime+ar.cycles-c.dist*ii)
+		for _, cycles := range list {
+			dst = append(dst, c.prop.srcTime+cycles-c.dist*ii)
 		}
 	} else {
 		for i := len(list) - 1; i >= 0; i-- {
-			dst = append(dst, c.prop.srcTime-list[i].cycles+c.dist*ii)
+			dst = append(dst, c.prop.srcTime-list[i]+c.dist*ii)
 		}
 	}
 	return dst

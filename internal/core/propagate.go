@@ -1,17 +1,15 @@
 package core
 
 import (
-	"runtime"
-	"sync"
-	"sync/atomic"
+	"math/bits"
 
 	"rewire/internal/mrrg"
 )
 
 // propagation holds the probe flood from one source anchor: every MRRG
 // resource reachable from (forward) or reaching (backward) the anchor's
-// FU within the round budget, with parent pointers for path extraction,
-// plus the per-PE arrival tuples.
+// FU within the round budget, layer by layer, plus the per-PE arrival
+// tuples and, built on demand, the BFS tree behind the probe paths.
 //
 // A tuple (source, direction, PE q, cycles L) means: a value produced by
 // the source L cycles before consumption (forward), or consumed by the
@@ -20,100 +18,122 @@ import (
 // exists between the anchor FU and q's FU. Tuples are deduplicated per
 // (PE, cycles), exactly the paper's rule (same source, same routing
 // cycle count, same direction → one tuple).
+//
+// A flood state is a (slot, depth) pair: every MRRG arc advances the
+// modulo time by one, so depth e fixes the time step (seedTime+e
+// forward, seedTime-e backward, modulo II) and the slot alone names the
+// resource. Layer e of the flood is therefore a slot bitset, and layer
+// e+1 is the union of the slot-adjacency rows of layer e's slots masked
+// by the slots a probe may use at depth e+1 (docs/PERFORMANCE.md, "Probe
+// floods: bitset layers and the lazy tree").
 type propagation struct {
 	source  int
 	forward bool
 	srcTime int // anchor's absolute execution time
-	rounds  int
 
-	g *mrrg.Graph
-	// A flood state is a (slot, depth) pair, not a (node, depth) one:
-	// every MRRG arc advances the modulo time by one, so depth e fixes
-	// the time step (seedTime+e forward, seedTime-e backward, modulo II)
-	// and the slot alone names the resource — the router's compact-state
-	// argument, which makes the scratch II times smaller.
+	g        *mrrg.Graph
+	slotPE   []int32 // g.SlotPEs(forward)
 	seedTime int
-	par      []int32 // state index -> predecessor state index (-1 = seed)
-	visited  []bool
-	// arrive[pe] lists tuples sorted by cycles; endState points at the
-	// final resource of the probe path for extraction. The table is
-	// epoch-stamped (the PR 1 router-scratch idiom): arrive[pe] is live
-	// only when arriveStamp[pe] == arriveEpoch, so a pooled propagation
-	// starts with an empty table in O(1) while the per-PE tuple lists
-	// keep their capacity across floods. nArrivePEs counts the PEs with
-	// at least one live tuple (what len(arrive) used to report).
-	arrive      [][]arrival
-	arriveStamp []int64
-	arriveEpoch int64
-	nArrivePEs  int
-	// frontA/frontB are the BFS frontier double-buffer.
-	frontA, frontB []mrrg.Node
+	seedSlot int32
+	words    int // SlotWords of g
+	numPEs   int
+	// reach holds the flood's layers: layer e's slot bitset is
+	// reach[e*words:(e+1)*words] for e < layers, and the last layer is
+	// the deepest non-empty one.
+	reach  []uint64
+	layers int
+
+	// arrive[pe] lists the tuple cycle counts at pe, ascending. The table
+	// is epoch-stamped (the router-scratch idiom), with one epoch per
+	// emitted layer: stamp[pe] is the epoch of the last layer that reached
+	// pe, so arrive[pe] is live only when stamp[pe] > floodEpoch (the epoch
+	// before the flood's first layer) and a second state of pe in one
+	// layer is a one-compare dedup. A recycled propagation thus starts
+	// with an empty table in O(1) while the per-PE lists keep their
+	// capacity across floods. nArrivePEs counts the PEs with at least one
+	// live tuple.
+	arrive     [][]int
+	stamp      []int64
+	epoch      int64
+	floodEpoch int64
+	nArrivePEs int
 	// tuples counts the tuples the flood kept and dedups the ones the
-	// per-(PE, cycles) rule suppressed; plain ints because each flood is
-	// single-goroutine, summed into the attempt's tally once the
-	// propagateAll pool has joined.
+	// per-(PE, cycles) rule suppressed.
 	tuples, dedups int
+
+	// The BFS tree, grown by growTree only as deep as the probe paths
+	// extracted so far need (most floods never have one extracted). For
+	// depth d <= treeDepth, par[d*NumSlots+b] is the depth-(d-1) parent
+	// slot of slot b at depth d, and first[d*numPEs+q] is the first
+	// slot discovered at depth d whose tuple PE is q (-1 if none): the
+	// tuple's probe path ends there. front is the depth-treeDepth frontier
+	// in discovery order and next/todo are growTree's workspace. The tree
+	// reads only the stored layers, never the session's occupancy, so it
+	// is the tree an eager BFS would have built when the flood ran.
+	treeDepth   int
+	par, first  []int32
+	front, next []int32
+	todo        []uint64
 }
 
-// propPool recycles propagation headers together with their arrival
-// tables and frontier buffers. Floods run on worker-pool goroutines, so
-// the pool is global rather than part of amendScratch.
-var propPool = sync.Pool{New: func() any { return new(propagation) }}
-
-// getProp draws a propagation with an empty arrival table covering
-// numPEs PEs.
-func getProp(numPEs int) *propagation {
-	p := propPool.Get().(*propagation)
+// reset readies a recycled propagation for a flood with numPEs PEs: an
+// empty arrival table and no tree.
+func (p *propagation) reset(numPEs int) {
 	if len(p.arrive) < numPEs {
-		p.arrive = make([][]arrival, numPEs)
-		p.arriveStamp = make([]int64, numPEs)
-		p.arriveEpoch = 0
+		p.arrive = make([][]int, numPEs)
+		p.stamp = make([]int64, numPEs)
+		p.epoch = 0
 	}
-	p.arriveEpoch++
+	p.floodEpoch = p.epoch
+	p.numPEs = numPEs
 	p.nArrivePEs = 0
 	p.tuples, p.dedups = 0, 0
-	return p
+	p.treeDepth = -1
 }
 
-type arrival struct {
-	cycles   int
-	endState int32
+// resized returns s with length n, reallocating only when its capacity
+// is short; the contents are not preserved or cleared.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
-func (p *propagation) stateIndex(n mrrg.Node, e int) int32 {
-	return int32(p.g.Slot(n)*(p.rounds+1) + e)
-}
-
-func (p *propagation) stateNode(s int32) mrrg.Node {
-	slot, e := int(s)/(p.rounds+1), int(s)%(p.rounds+1)
+// timeAt returns the modulo time step of the flood's depth-e layer.
+func (p *propagation) timeAt(e int) int {
 	if !p.forward {
 		e = -e
 	}
 	ii := p.g.II
-	t := ((p.seedTime+e)%ii + ii) % ii
-	return mrrg.Node(slot*ii + t)
+	return ((p.seedTime+e)%ii + ii) % ii
 }
 
-// cyclesAt returns the tuple cycle counts present at PE q.
-func (p *propagation) cyclesAt(q int) []arrival {
-	if q >= len(p.arriveStamp) || p.arriveStamp[q] != p.arriveEpoch {
+// nodeAt returns the MRRG node of slot b at depth e.
+func (p *propagation) nodeAt(b int32, e int) mrrg.Node {
+	return mrrg.Node(int(b)*p.g.II + p.timeAt(e))
+}
+
+// cyclesAt returns the tuple cycle counts present at PE q, ascending.
+func (p *propagation) cyclesAt(q int) []int {
+	if q >= len(p.stamp) || p.stamp[q] <= p.floodEpoch {
 		return nil
 	}
 	return p.arrive[q]
 }
 
 // hasCycle reports whether a tuple with exactly the given cycle count
-// exists at q, returning its arrival for path extraction.
-func (p *propagation) hasCycle(q, cycles int) (arrival, bool) {
-	for _, ar := range p.cyclesAt(q) {
-		if ar.cycles == cycles {
-			return ar, true
+// exists at q.
+func (p *propagation) hasCycle(q, cycles int) bool {
+	for _, c := range p.cyclesAt(q) {
+		if c == cycles {
+			return true
 		}
-		if ar.cycles > cycles {
+		if c > cycles {
 			break
 		}
 	}
-	return arrival{}, false
+	return false
 }
 
 // minCycles returns the smallest tuple cycle count at q, or -1.
@@ -122,14 +142,7 @@ func (p *propagation) minCycles(q int) int {
 	if len(list) == 0 {
 		return -1
 	}
-	return list[0].cycles
-}
-
-// propTask names one probe flood of a propagateAll dispatch.
-type propTask struct {
-	key     int // props map key (backwardKey for dual-role anchors)
-	source  int
-	forward bool
+	return list[0]
 }
 
 // propagateAll floods probes from every anchor of U: forward from
@@ -137,152 +150,63 @@ type propTask struct {
 // keyed by anchor node ID.
 //
 // The map and the propagations in it are owned by the amender's scratch:
-// they are invalidated by releaseProps and by the next propagateAll call
-// on the same amender.
+// they stay valid until the next propagateAll call on the same amender,
+// which releases them (releaseProps) for its own floods, or until the
+// scratch is recycled.
 //
-// The floods are independent by construction — each reads only the
-// shared session (placements, occupancy, graph) and writes only its own
-// propagation — and contention-blind by design (the paper continues
-// propagation through resources other tuples traversed), so they run on
-// a bounded worker pool. Results are bit-identical to the serial order:
-// each flood is a deterministic function of (anchor, direction, rounds),
-// and tasks land in pre-assigned slots regardless of completion order.
+// The floods run one after another on the amender's goroutine. They are
+// independent by construction — each reads only the graph and one
+// occupancy snapshot taken here, and writes only its own propagation —
+// and contention-blind by design (the paper continues propagation
+// through resources other tuples traversed). A worker pool over them
+// used to win, but not once the floods became bitset layers and the
+// public API sweeps one II attempt per core (docs/CONCURRENCY.md).
 func (a *amender) propagateAll(u *cluster) map[int]*propagation {
 	scr := a.scratch()
+	scr.releaseProps()
 	scr.parentsBuf = a.anchorsInto(u, true, scr.parentsBuf[:0])
 	scr.childrenBuf = a.anchorsInto(u, false, scr.childrenBuf[:0])
 	parents, children := scr.parentsBuf, scr.childrenBuf
 	rounds := a.rounds(u, parents, children)
 
-	scr.tasks = scr.tasks[:0]
+	ps := a.tr.StartSpan(a.cur, "propagate").
+		WithInt("anchors", int64(len(parents)+len(children))).WithInt("rounds", int64(rounds))
+	free := a.snapshot()
+	props := scr.props
+	flood := func(key, s int, forward bool) {
+		sp := a.tr.StartSpan(ps, "probe").
+			WithInt("anchor", int64(s)).WithBool("forward", forward)
+		p := a.propagate(s, forward, rounds, free)
+		sp.WithInt("tuples", int64(p.tuples)).WithInt("deduped", int64(p.dedups)).End()
+		props[key] = p
+		a.eff.PropagateTuples += int64(p.tuples)
+		a.eff.TuplesDeduped += int64(p.dedups)
+	}
 	for _, s := range parents {
-		scr.tasks = append(scr.tasks, propTask{key: s, source: s, forward: true})
+		flood(s, s, true)
 	}
 	for _, s := range children {
-		// An anchor can be both parent and child of U; the backward
-		// flood is stored under the same key only if no forward one
-		// exists (forward constraints are the more selective ones), so
-		// keep both directions distinguishable via composite keys.
+		// An anchor can be both parent and child of U; keep both
+		// directions distinguishable via composite keys.
 		key := s
 		if sortedContains(parents, s) {
 			key = backwardKey(s)
 		}
-		scr.tasks = append(scr.tasks, propTask{key: key, source: s, forward: false})
-	}
-	tasks := scr.tasks
-
-	if cap(scr.results) < len(tasks) {
-		scr.results = make([]*propagation, len(tasks))
-	}
-	results := scr.results[:len(tasks)]
-	ps := a.tr.StartSpan(a.cur, "propagate").
-		WithInt("anchors", int64(len(tasks))).WithInt("rounds", int64(rounds))
-	// runTask floods one anchor under its own probe span. Span starts are
-	// tracer-synchronised, so the instrumentation is worker-pool-safe;
-	// with tracing disabled every call is a nil check. Each flood counts
-	// its own tuples; the tally sums them after the pool joins.
-	runTask := func(i int, t propTask) {
-		sp := a.tr.StartSpan(ps, "probe").
-			WithInt("anchor", int64(t.source)).WithBool("forward", t.forward)
-		p := a.propagate(t.source, t.forward, rounds)
-		sp.WithInt("tuples", int64(p.tuples)).WithInt("deduped", int64(p.dedups)).End()
-		results[i] = p
-	}
-
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
-	if workers <= 1 {
-		for i, t := range tasks {
-			runTask(i, t)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(tasks) {
-						return
-					}
-					runTask(i, tasks[i])
-				}
-			}()
-		}
-		wg.Wait()
+		flood(key, s, false)
 	}
 	ps.End()
-
-	props := scr.props
-	clear(props)
-	for i, t := range tasks {
-		props[t.key] = results[i]
-		a.eff.PropagateTuples += int64(results[i].tuples)
-		a.eff.TuplesDeduped += int64(results[i].dedups)
-	}
 	return props
 }
 
-// releaseProps returns the flood scratch of a propagation set to the
-// pools and empties the map. The propagations must not be used
-// afterwards (extractPath would walk a recycled parent array); because
-// the entries are deleted here, releasing the same map twice is a no-op.
-func releaseProps(props map[int]*propagation) {
-	for k, p := range props {
-		delete(props, k)
-		if p == nil {
-			continue
-		}
-		if p.par != nil {
-			putInt32Scratch(p.par)
-			p.par = nil
-		}
-		p.g = nil
-		propPool.Put(p)
-	}
-}
-
-// Pools of flood scratch. A probe flood needs two NumSlots*(rounds+1)
-// arrays (parent pointers and a visited set); reallocating them per
-// anchor per amendment iteration dominated the allocation profile, so
-// both are pooled: the visited set returns as soon as its flood
-// finishes, the parent array when the cluster iteration is done with
-// the propagation (releaseProps).
-var (
-	int32ScratchPool = sync.Pool{New: func() any { return new([]int32) }}
-	boolScratchPool  = sync.Pool{New: func() any { return new([]bool) }}
-)
-
-func getInt32Scratch(n int) []int32 {
-	p := int32ScratchPool.Get().(*[]int32)
-	if cap(*p) < n {
-		*p = make([]int32, n)
-	}
-	return (*p)[:n]
-}
-
-func putInt32Scratch(s []int32) {
-	int32ScratchPool.Put(&s)
-}
-
-// getBoolScratch returns an all-false slice of length n.
-func getBoolScratch(n int) []bool {
-	p := boolScratchPool.Get().(*[]bool)
-	if cap(*p) < n {
-		*p = make([]bool, n)
-		return (*p)[:n]
-	}
-	s := (*p)[:n]
-	clear(s)
-	return s
-}
-
-func putBoolScratch(s []bool) {
-	boolScratchPool.Put(&s)
+// snapshot takes the occupancy snapshot the floods of one propagateAll
+// share: the free routing slots of every modulo time step (see
+// mrrg.State.FreeRoutingSlots), in the scratch.
+func (a *amender) snapshot() []uint64 {
+	scr := a.scratch()
+	g := a.sess.Graph
+	scr.free = resized(scr.free, g.II*g.SlotWords())
+	a.sess.State.FreeRoutingSlots(scr.free)
+	return scr.free
 }
 
 // backwardKey disambiguates an anchor that needs both directions.
@@ -337,138 +261,200 @@ func (a *amender) rounds(u *cluster, parents, children []int) int {
 	return r
 }
 
-// propagate floods probes from anchor s's FU. Forward probes walk MRRG
-// successors using resources free or already held by s's own net at the
-// matching phase (probes may ride s's existing route tree); backward
-// probes walk predecessors over free resources (the future producer's
-// net does not exist yet). Probes ignore contention BETWEEN sources —
+// propagate floods probes from anchor s's FU over the free-slot snapshot
+// free (snapshot). Forward probes walk MRRG successors using resources
+// free or already held by s's own net at the matching phase (probes may
+// ride s's existing route tree); backward probes walk predecessors over
+// free resources (the future producer's net does not exist yet). Bank
+// ports are never crossed. Probes ignore contention BETWEEN sources —
 // the paper continues propagation "even when hardware resources have
 // been traversed by other propagation tuples" — which is why generated
 // placements must later be verified by real routing.
-func (a *amender) propagate(s int, forward bool, rounds int) *propagation {
+func (a *amender) propagate(s int, forward bool, rounds int, free []uint64) *propagation {
+	g := a.sess.Graph
 	pl := a.sess.M.Place[s]
-	states := a.sess.Graph.NumSlots() * (rounds + 1)
-	p := getProp(a.sess.M.Arch.NumPEs())
+	scr := a.scratch()
+	p := scr.newProp(a.sess.M.Arch.NumPEs())
 	p.source = s
 	p.forward = forward
 	p.srcTime = pl.Time
-	p.rounds = rounds
-	p.g = a.sess.Graph
-	p.par = getInt32Scratch(states)
-	p.visited = getBoolScratch(states)
-	seed := a.sess.Graph.FU(pl.PE, pl.Time)
-	p.seedTime = a.sess.Graph.Time(seed)
-	si := p.stateIndex(seed, 0)
-	p.visited[si] = true
-	p.par[si] = -1
-	p.emit(seed, 0, si)
+	p.g = g
+	// Forward probes deliver to the PE a resource feeds, backward probes
+	// connect to a producer on the resource's own PE.
+	p.slotPE = g.SlotPEs(forward)
+	seed := g.FU(pl.PE, pl.Time)
+	p.seedTime = g.Time(seed)
+	w := g.SlotWords()
+	p.words = w
+	p.reach = resized(p.reach, (rounds+1)*w)
+	layer := p.reach[:w]
+	clear(layer)
+	p.seedSlot = int32(g.Slot(seed))
+	layer[p.seedSlot>>6] |= 1 << (p.seedSlot & 63)
+	p.emitLayer(0)
+	p.layers = 1
 
-	frontier, next := p.frontA[:0], p.frontB[:0]
-	frontier = append(frontier, seed)
-	for e := 0; e < rounds && len(frontier) > 0; e++ {
-		next = next[:0]
-		for _, n := range frontier {
-			cur := p.stateIndex(n, e)
-			var adj []mrrg.Node
-			if forward {
-				adj = p.g.Succs(n)
-			} else {
-				adj = p.g.Preds(n)
-			}
-			for _, nn := range adj {
-				ni := p.stateIndex(nn, e+1)
-				if p.visited[ni] {
-					continue
+	rows := g.SlotRows(forward)
+	for e := 0; e < rounds; e++ {
+		cur := p.reach[e*w : (e+1)*w]
+		next := p.reach[(e+1)*w : (e+2)*w]
+		clear(next)
+		for i, word := range cur {
+			for ; word != 0; word &= word - 1 {
+				b := i<<6 | bits.TrailingZeros64(word)
+				for k, r := range rows[b*w : (b+1)*w] {
+					next[k] |= r
 				}
-				if !a.probeUsable(nn, s, forward, e+1) {
-					continue
-				}
-				p.visited[ni] = true
-				p.par[ni] = cur
-				p.emit(nn, e+1, ni)
-				next = append(next, nn)
 			}
 		}
-		frontier, next = next, frontier
+		t := p.timeAt(e + 1)
+		usable := free[t*w : (t+1)*w]
+		if forward {
+			// Forward probes may also ride s's own net: it holds route[e]
+			// of each routed out-edge at phase e+1, the phase of this
+			// layer, and a route is a chain of one-cycle arcs from s's FU,
+			// so route[e] sits at this layer's time step.
+			own := append(scr.own[:0], usable...)
+			for _, eid := range a.g.OutEdges(s) {
+				if r := a.sess.M.Routes[eid]; e < len(r) && g.Kind(r[e]) != mrrg.KindBank {
+					b := g.Slot(r[e])
+					own[b>>6] |= 1 << (b & 63)
+				}
+			}
+			scr.own, usable = own, own
+		}
+		live := uint64(0)
+		for k := range next {
+			next[k] &= usable[k]
+			live |= next[k]
+		}
+		if live == 0 {
+			break
+		}
+		p.emitLayer(e + 1)
+		p.layers = e + 2
 	}
-	// Hand the (possibly grown) frontier buffers back to the pooled
-	// propagation for the next flood.
-	p.frontA, p.frontB = frontier, next
-	// The visited set only guards the flood itself; the parent array
-	// stays live for extractPath until releaseProps.
-	putBoolScratch(p.visited)
-	p.visited = nil
 	return p
 }
 
-// probeUsable decides whether a probe may traverse resource n at step e.
-func (a *amender) probeUsable(n mrrg.Node, s int, forward bool, e int) bool {
-	if a.sess.Graph.Kind(n) == mrrg.KindBank {
-		return false
+// emitLayer records the arrival tuples of layer e: a value can connect
+// between the anchor and an operation on the PE of each reached slot
+// with e+1 total cycles. One tuple is kept per PE; every further slot of
+// the PE is deduplicated (the per-(PE, cycles) rule). Layers are emitted
+// in increasing depth, so each list stays sorted.
+func (p *propagation) emitLayer(e int) {
+	p.epoch++
+	w := p.words
+	for i, word := range p.reach[e*w : (e+1)*w] {
+		for ; word != 0; word &= word - 1 {
+			q := p.slotPE[i<<6|bits.TrailingZeros64(word)]
+			if q < 0 {
+				continue
+			}
+			last := p.stamp[q]
+			if last == p.epoch {
+				p.dedups++
+				continue
+			}
+			p.stamp[q] = p.epoch
+			list := p.arrive[q]
+			if last <= p.floodEpoch {
+				// First tuple at q this flood: claim the list, reusing its
+				// capacity.
+				list = list[:0]
+				p.nArrivePEs++
+			}
+			p.tuples++
+			p.arrive[q] = append(list, e+1)
+		}
 	}
-	if forward {
-		return a.sess.State.Usable(n, mrrg.Net(s), e)
-	}
-	return a.sess.State.Free(n)
 }
 
-// emit records the arrival tuple for a visited state: a value can
-// connect between the anchor and an operation on the adjacent PE with
-// e+1 total cycles. Forward probes deliver to FeedsPE(n); backward
-// probes connect to a producer on the resource's own PE.
-func (p *propagation) emit(n mrrg.Node, e int, state int32) {
-	var q int
-	if p.forward {
-		q = p.g.FeedsPE(n)
-	} else {
-		q = p.g.PE(n)
+// growTree extends the BFS tree to the given depth (< layers). It runs
+// the ordered BFS an eager flood would have run — the same frontier
+// order, the same Succs/Preds order — except that a state is admitted
+// by its bit in the stored layer instead of an occupancy test: a slot
+// adjacent to layer d-1 is in layer d exactly when it was usable there.
+// A todo copy of the layer doubles as the per-depth visited set.
+func (p *propagation) growTree(depth int) {
+	g := p.g
+	ns := g.NumSlots()
+	npe := p.numPEs
+	if p.treeDepth < 0 {
+		p.par = resized(p.par, p.layers*ns)
+		p.first = resized(p.first, p.layers*npe)
+		first := p.first[:npe]
+		for i := range first {
+			first[i] = -1
+		}
+		b := p.seedSlot
+		p.par[b] = -1
+		first[p.slotPE[b]] = b
+		p.front = append(p.front[:0], b)
+		p.treeDepth = 0
 	}
-	if q < 0 {
-		return
+	w := p.words
+	p.todo = resized(p.todo, w)
+	for d := p.treeDepth + 1; d <= depth; d++ {
+		copy(p.todo, p.reach[d*w:(d+1)*w])
+		par := p.par[d*ns : (d+1)*ns]
+		first := p.first[d*npe : (d+1)*npe]
+		for i := range first {
+			first[i] = -1
+		}
+		next := p.next[:0]
+		t := p.timeAt(d - 1)
+		for _, a := range p.front {
+			n := mrrg.Node(int(a)*g.II + t)
+			adj := g.Succs(n)
+			if !p.forward {
+				adj = g.Preds(n)
+			}
+			for _, m := range adj {
+				b := g.Slot(m)
+				bit := uint64(1) << (b & 63)
+				if p.todo[b>>6]&bit == 0 {
+					continue
+				}
+				p.todo[b>>6] &^= bit
+				par[b] = a
+				next = append(next, int32(b))
+				if q := p.slotPE[b]; q >= 0 && first[q] < 0 {
+					first[q] = int32(b)
+				}
+			}
+		}
+		p.front, p.next = next, p.front
+		p.treeDepth = d
 	}
-	cycles := e + 1
-	var list []arrival
-	if p.arriveStamp[q] == p.arriveEpoch {
-		list = p.arrive[q]
-	} else {
-		// First tuple at q this flood: claim the slot, reusing the old
-		// list's capacity.
-		p.arriveStamp[q] = p.arriveEpoch
-		list = p.arrive[q][:0]
-		p.nArrivePEs++
-	}
-	// Dedup per (PE, cycles): BFS visits states in increasing e, so the
-	// list stays sorted and the check is a tail comparison.
-	if len(list) > 0 && list[len(list)-1].cycles == cycles {
-		p.dedups++
-		return
-	}
-	p.tuples++
-	p.arrive[q] = append(list, arrival{cycles: cycles, endState: state})
 }
 
-// extractPath rebuilds the resource chain behind an arrival: lat-1
-// resources ordered by phase (path[i] is occupied at phase i+1 relative
-// to the producer). It is the "reuse of wire information" fast path —
-// verification tries this chain before falling back to the router.
-func (p *propagation) extractPath(ar arrival, lat int) []mrrg.Node {
+// extractPath rebuilds the resource chain behind the tuple (q, lat):
+// lat-1 resources ordered by phase (path[i] is occupied at phase i+1
+// relative to the producer). It is the "reuse of wire information" fast
+// path — verification tries this chain before falling back to the
+// router. The tuple must exist (hasCycle).
+func (p *propagation) extractPath(q, lat int) []mrrg.Node {
 	if lat <= 1 {
 		return []mrrg.Node{}
 	}
-	path := make([]mrrg.Node, lat-1)
-	state := ar.endState
-	if p.forward {
-		for e := lat - 1; e >= 1; e-- {
-			path[e-1] = p.stateNode(state)
-			state = p.par[state]
+	d := lat - 1
+	if p.treeDepth < d {
+		p.growTree(d)
+	}
+	ns := p.g.NumSlots()
+	b := p.first[d*p.numPEs+q]
+	path := make([]mrrg.Node, d)
+	// Walk from the tuple's end state back to the seed. Backward states
+	// count from the consumer: the state at depth e holds the resource at
+	// phase lat-e.
+	for e := d; e >= 1; e-- {
+		if p.forward {
+			path[e-1] = p.nodeAt(b, e)
+		} else {
+			path[lat-1-e] = p.nodeAt(b, e)
 		}
-	} else {
-		// Backward states count from the consumer: the state at depth b
-		// holds the resource at phase lat-b.
-		for b := lat - 1; b >= 1; b-- {
-			path[lat-1-b] = p.stateNode(state)
-			state = p.par[state]
-		}
+		b = p.par[e*ns+int(b)]
 	}
 	return path
 }

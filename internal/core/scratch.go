@@ -10,8 +10,8 @@ import (
 // the cluster loop (propagate → intersect → generate → grow) needs,
 // recycled across rounds, attempts, and runs via a sync.Pool. One
 // scratch belongs to exactly one amender at a time and is only touched
-// from the amender's own goroutine (the propagation worker pool uses the
-// separate global flood pools), so nothing here is synchronised.
+// from the amender's own goroutine, probe floods included, so nothing
+// here is synchronised.
 //
 // Everything in the scratch is pure workspace: recycling a dirty scratch
 // from a failed or cancelled attempt must never change a mapping result.
@@ -28,12 +28,17 @@ type amendScratch struct {
 	// cluster at a time).
 	u cluster
 
-	// anchor collection + propagation task dispatch (propagateAll).
+	// anchor collection and the probe floods (propagateAll): the live
+	// propagations by anchor key, released ones kept with their layer,
+	// tuple and tree buffers for the next flood, the occupancy snapshot
+	// (one free-slot bitset per modulo time step) and a forward layer's
+	// usable mask with the anchor's own-net slots added.
 	parentsBuf  []int
 	childrenBuf []int
-	tasks       []propTask
-	results     []*propagation
 	props       map[int]*propagation
+	spareProps  []*propagation
+	free        []uint64
+	own         []uint64
 
 	// representative-anchor DFS (repAnchors).
 	repOut   []int
@@ -82,15 +87,38 @@ func getAmendScratch(numNodes int) *amendScratch {
 }
 
 // putAmendScratch recycles a scratch, dropping references that would pin
-// per-run objects (propagations, candidate data) past the run.
+// per-run objects (graphs, candidate data) past the run.
 func putAmendScratch(s *amendScratch) {
-	clear(s.props)
+	s.releaseProps()
 	clear(s.cands)
-	for i := range s.results {
-		s.results[i] = nil
-	}
 	s.gen = generator{}
 	amendScratchPool.Put(s)
+}
+
+// newProp draws a propagation, a released one when there is one, reset
+// for a flood with numPEs PEs.
+func (s *amendScratch) newProp(numPEs int) *propagation {
+	var p *propagation
+	if n := len(s.spareProps); n > 0 {
+		p = s.spareProps[n-1]
+		s.spareProps = s.spareProps[:n-1]
+	} else {
+		p = new(propagation)
+	}
+	p.reset(numPEs)
+	return p
+}
+
+// releaseProps empties the props map, keeping its propagations for
+// later floods. They must not be used afterwards (extractPath would
+// read recycled layers); because the entries are deleted here,
+// releasing twice is a no-op.
+func (s *amendScratch) releaseProps() {
+	for k, p := range s.props {
+		delete(s.props, k)
+		p.g, p.slotPE = nil, nil
+		s.spareProps = append(s.spareProps, p)
+	}
 }
 
 // beginMark starts a fresh empty mark set in O(1) and returns its epoch:

@@ -18,19 +18,16 @@ func BenchmarkSubAmendScratch(b *testing.B) {
 	// Warm the pools so the measured loop is the steady state.
 	warm := getAmendScratch(numNodes)
 	warm.perm(rng, numPEs)
+	warm.props[0] = warm.newProp(numPEs)
 	putAmendScratch(warm)
-	p := getProp(numPEs)
-	warmProps := map[int]*propagation{0: p}
-	releaseProps(warmProps)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := getAmendScratch(numNodes)
 		e := s.beginMark()
 		s.mark[0], s.mark[numNodes-1] = e, e
 		s.perm(rng, numPEs)
-		p := getProp(numPEs)
-		s.props[0] = p
-		releaseProps(s.props)
+		s.props[0] = s.newProp(numPEs)
+		s.releaseProps()
 		putAmendScratch(s)
 	}
 }

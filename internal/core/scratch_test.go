@@ -103,10 +103,11 @@ func TestConcurrentSessionsDeterministic(t *testing.T) {
 }
 
 // TestFloodScratchSize pins the probe flood's footprint: a forward flood
-// at the largest round budget on a 4x4r4 session at II 32 keeps one
-// parent pointer and one visited flag per (slot, depth) state, and must
-// stay under 64 KiB; the (node, depth) layout it replaced took II times
-// as much.
+// at the largest round budget on an open 4x4r4 session at II 32, with
+// its BFS tree built to the full depth, keeps one slot bitset per layer,
+// one parent slot per (slot, depth) state, the first slot per (PE,
+// depth) and two frontiers, and must stay under 64 KiB; a (node, depth)
+// layout would take II times as much.
 func TestFloodScratchSize(t *testing.T) {
 	g := kernels.MustLoad("mvt")
 	sess := mapping.NewSession(mapping.New(g, arch.New4x4(4), 32))
@@ -117,13 +118,15 @@ func TestFloodScratchSize(t *testing.T) {
 	router := route.ForSession(sess)
 	am := &amender{g: g, sess: sess, router: router}
 	rounds := router.MaxLat() - 1
-	p := am.propagate(0, true, rounds)
-	defer releaseProps(map[int]*propagation{0: p})
-	const perState = 4 + 1 // int32 parent + bool visited
-	got := len(p.par) * perState
-	dense := sess.Graph.NumNodes() * (rounds + 1) * perState
-	if got > 64<<10 {
-		t.Fatalf("flood scratch is %d B at 4x4r4 II 32, want <= %d (node-indexed layout: %d B)", got, 64<<10, dense)
+	p := am.propagate(0, true, rounds, am.snapshot())
+	if p.layers != rounds+1 {
+		t.Fatalf("open fabric flood kept %d layers, want %d", p.layers, rounds+1)
 	}
-	t.Logf("scratch %d B, node-indexed layout %d B", got, dense)
+	p.growTree(p.layers - 1)
+	got := 8*len(p.reach) + 4*(len(p.par)+len(p.first)+cap(p.front)+cap(p.next)) + 8*len(p.todo)
+	dense := sess.Graph.NumNodes() * (rounds + 1) * 4
+	if got > 64<<10 {
+		t.Fatalf("flood scratch is %d B at 4x4r4 II 32, want <= %d (node-indexed parents: %d B)", got, 64<<10, dense)
+	}
+	t.Logf("scratch %d B, node-indexed parents %d B", got, dense)
 }
