@@ -342,6 +342,41 @@ func BenchmarkFindPathShared(b *testing.B) {
 	b.ReportMetric(float64(r.Expansions-start)/float64(b.N), "expansions/op")
 }
 
+// BenchmarkFindPathUnquantized measures the router's worst case: costs
+// that no CostFn in this repository produces, uniformly random reals
+// per resource, give nearly every queued entry its own priority, so the
+// queue holds about as many levels as entries. One op is 200 searches
+// on an empty 8x8r4 fabric at II 8, floor 0, between random PEs at
+// random latencies up to the router's bound.
+func BenchmarkFindPathUnquantized(b *testing.B) {
+	b.ReportAllocs()
+	g := mrrg.New(arch.New8x8(4), 8)
+	r := route.NewRouter(g, route.DefaultMaxLat(8, 8, 8))
+	rng := rand.New(rand.NewSource(4))
+	spread := make([]float64, g.NumNodes())
+	for i := range spread {
+		spread[i] = 0.05 + 3*rng.Float64()
+	}
+	cost := func(n mrrg.Node, phase int) (float64, bool) { return spread[n], true }
+	type query struct {
+		src, dst mrrg.Node
+		lat      int
+	}
+	queries := make([]query, 200)
+	for i := range queries {
+		lat := 1 + rng.Intn(r.MaxLat())
+		queries[i] = query{g.FU(rng.Intn(64), 0), g.FU(rng.Intn(64), lat), lat}
+	}
+	b.ResetTimer()
+	start := r.Expansions
+	for i := 0; i < b.N; i++ {
+		for _, q := range queries {
+			r.FindPath(q.src, q.dst, q.lat, cost, route.Flat(0))
+		}
+	}
+	b.ReportMetric(float64(r.Expansions-start)/float64(b.N), "expansions/op")
+}
+
 // BenchmarkMRRGCacheHit measures the shared-graph fast path: a session
 // acquiring an already-built MRRG plus a pooled state. The absence of a
 // Graph rebuild is what makes II sweeps and eval fleets cheap; allocs/op

@@ -109,29 +109,35 @@ func TestFindPathSharedAllocs(t *testing.T) {
 	}
 }
 
-// TestRouterTrimsQueue checks the retention bounds: after a search whose
-// level buffers grew past maxRetainedPQ entries, or which opened more
-// than maxRetainedLevels levels, the router must not pin those
-// peak-size buffers. The overgrown buffers are injected directly —
-// typical fabrics drain the queue too fast to reach the caps
-// organically, which is exactly why an occasional pathological search
-// would otherwise pin its peak allocation for the router's lifetime.
+// TestRouterTrimsQueue checks the retention bound: after a search that
+// opened more than maxRetainedLevels levels, the router keeps at most
+// maxRetainedLevels level bitsets, each of (maxLat+1)·SlotWords words
+// plus their summary words (TestRouterLevelSize), and as many level
+// records. The overgrown arena is injected directly: typical fabrics
+// drain the queue too fast to reach the cap organically, which is
+// exactly why an occasional pathological search would otherwise pin its
+// peak allocation for the router's lifetime.
 func TestRouterTrimsQueue(t *testing.T) {
 	g := mrrg.New(arch.New8x8(4), 4)
 	st := mrrg.NewState(g)
 	r := NewRouter(g, DefaultMaxLat(8, 8, 4))
 	cost := StrictCost(st, 1)
 
-	r.q.spare = append(r.q.spare, make([]qentry, 0, 4*maxRetainedPQ))
-	for i := 0; i < 4*maxRetainedLevels; i++ {
-		r.q.spare = append(r.q.spare, make([]qentry, 0, 1))
+	const overgrown = 4 * maxRetainedLevels
+	for len(r.q.chunks)*chunkLevels < overgrown {
+		r.q.chunks = append(r.q.chunks, make([]uint64, chunkLevels*r.q.size))
 	}
-	r.q.levels = make([]qlevel, 0, 4*maxRetainedLevels)
+	r.q.spare = make([]int32, 0, overgrown)
+	r.q.levels = make([]qlevel, 0, overgrown)
 	if _, ok := r.FindPath(g.FU(0, 0), g.FU(9, 1), 5, cost, Flat(1)); !ok {
 		t.Fatal("route must exist")
 	}
-	if got := retainedEntries(&r.q); got > maxRetainedPQ {
-		t.Errorf("router retains level capacity %d after FindPath, cap is %d", got, maxRetainedPQ)
+	retained := 0
+	for _, c := range r.q.chunks[:cap(r.q.chunks)] {
+		retained += cap(c)
+	}
+	if retained > maxRetainedLevels*r.q.size {
+		t.Errorf("router retains %d arena words after FindPath, cap is %d levels of %d", retained, maxRetainedLevels, r.q.size)
 	}
 	if got := max(cap(r.q.levels), cap(r.q.spare)); got > maxRetainedLevels {
 		t.Errorf("router retains bookkeeping for %d levels after FindPath, cap is %d", got, maxRetainedLevels)
@@ -140,17 +146,4 @@ func TestRouterTrimsQueue(t *testing.T) {
 	if _, ok := r.FindPath(g.FU(0, 0), g.FU(9, 1), 5, cost, Flat(1)); !ok {
 		t.Fatal("route must survive the trim")
 	}
-}
-
-// retainedEntries returns the entry capacity q holds across its level
-// buffers.
-func retainedEntries(q *stateQueue) int {
-	n := 0
-	for _, lv := range q.levels {
-		n += cap(lv.heap)
-	}
-	for _, b := range q.spare {
-		n += cap(b)
-	}
-	return n
 }

@@ -1,5 +1,7 @@
 package route
 
+import "math/bits"
+
 // The router's priority queue. Search results are a pure function of the
 // order in which queued states are popped, so the queue pops in exactly
 // one fixed order, the state order:
@@ -10,63 +12,91 @@ package route
 //     dive straight at the goal;
 //  3. then ascending node id.
 //
+// A queued state is one bit of a state index,
+//
+//	idx = (lat - elapsed)·(SlotWords·64) + slot,
+//
+// where lat is the searched latency. Within one search elapsed fixes
+// the modulo time (Time(n) = (Time(src)+elapsed) mod II) and node ids
+// are slot·II + time, so ascending slot at one elapsed is ascending node
+// id, and ascending idx is exactly rules 2 and 3. Measuring rows from lat
+// rather than from the router's maxLat orders one search the same way and
+// puts its deepest states in the first words.
+//
 // Entries are grouped into one level per exact f value, and each level
-// is a binary min-heap of uint64 keys packing (maxLat-elapsed, node), so
-// ascending key is rules 2 and 3. Popping the minimum key of the
-// minimum-f level is therefore the state order, entry for entry, stale
-// entries included: a stale entry is queued under the f it was pushed
-// with and pops exactly where that f puts it.
+// is a two-level bitset over idx: one bit per state, and a summary word
+// per 64 words of it marking the non-zero ones. Popping the lowest set
+// bit of the minimum-f level is therefore the state order. A level
+// record is 16 bytes (f, its count of set bits, and the index of its
+// bitset in an arena shared by all levels); a level whose last bit pops
+// returns its all-zero bitset to the arena's free list.
+//
+// The queue stores no cost. The search detects a stale entry, one whose
+// state was re-queued at a strictly lower cost after it was pushed, by
+// cell.dist + order[elapsed] != f: that is the float expression the
+// push computed f with, so it holds exactly for the latest push of the
+// state and for no entry queued under another f. A stale entry keeps the
+// level it was pushed under and pops exactly where that f puts it, as
+// in a heap. The one difference from a heap of entries is a twin: a
+// state re-queued at a strictly lower cost that rounds to the same f
+// sets a bit that is already set, and pops once instead of twice. The
+// second pop would only have been skipped as stale, so a twin changes
+// Expansions and nothing else. Strict and PathFinder costs produce none
+// on any test or benchmark stream.
 //
 // Searches produce few distinct f values: strict searches keep at most
 // five levels alive, PathFinder's history costs usually under 16 and
 // rarely more than 60. Levels are kept sorted with the minimum last, and
 // a push scans for its level from there, where most relaxations land.
 // A cost table with nearly as many distinct f values as entries makes
-// that scan linear in the queue size; no CostFn in this repository
-// produces one (docs/PERFORMANCE.md).
-//
-// Two entries may compare equal under the state order only if they are
-// the same (node, elapsed) state pushed twice with costs that round to
-// the same f. Which of them pops first changes nothing: the cheaper one
-// is processed and the dearer one is skipped as stale whichever comes
-// first, and both count one expansion. The goal state cannot tie with
-// itself: at elapsed lat the heuristic is zero, so f is the cost, and a
-// state is only re-queued at a strictly lower cost.
+// that scan linear in the queue size and opens one bitset per entry; no
+// CostFn in this repository produces one (docs/PERFORMANCE.md).
 
-// maxRetainedPQ bounds the entry capacity the level buffers keep between
-// calls, and maxRetainedLevels the number of levels whose bookkeeping is
-// kept. One pathological search can grow the queue to the full state
-// count; trimming afterwards keeps long-lived routers from pinning
-// peak-size buffers.
+// chunkLevels is the number of level bitsets per arena chunk. Past the
+// first chunk, opening a level never copies a bitset. trim keeps the
+// first chunk only, so at most maxRetainedLevels level bitsets (and as
+// many level records) survive a call: one pathological search can open
+// a level per entry, and long-lived routers must not pin its peak arena.
 const (
-	maxRetainedPQ     = 4096
-	maxRetainedLevels = 64
+	chunkLevels       = 64
+	maxRetainedLevels = chunkLevels
 )
 
-// qentry is one queued search state: its packed key and its exact cost
-// so far (g), against which pop detects stale entries.
-type qentry struct {
-	key  uint64
-	cost float64
-}
-
-// qlevel holds the queued entries of one exact priority f.
+// qlevel is one exact priority f: the number of bits set in its bitset
+// and the bitset's index in the arena.
 type qlevel struct {
-	f    float64
-	heap []qentry
+	f   float64
+	n   int32
+	blk int32
 }
 
 // stateQueue pops entries in the state order documented above.
 type stateQueue struct {
 	levels []qlevel   // one per queued f, in descending f: the minimum is last
-	spare  [][]qentry // emptied level buffers, reused by new levels
+	chunks [][]uint64 // the arena: up to chunkLevels bitsets of size words per chunk
+	nblk   int32      // bitsets handed out since the last reset
+	spare  []int32    // bitsets emptied since the last reset, reused first
+	nsum   int        // summary words per bitset, which precede its bits
+	size   int        // words per bitset
+}
+
+// newStateQueue returns a queue over state indices below 64·words.
+func newStateQueue(words int) stateQueue {
+	nsum := (words + 63) >> 6
+	return stateQueue{nsum: nsum, size: nsum + words}
+}
+
+// bitset returns level bitset blk: its summary words, then its bits.
+func (q *stateQueue) bitset(blk int32) []uint64 {
+	off := int(blk%chunkLevels) * q.size
+	return q.chunks[blk/chunkLevels][off : off+q.size]
 }
 
 func (q *stateQueue) empty() bool { return len(q.levels) == 0 }
 
-// push queues an entry with priority f. Relaxations mostly land on or
+// push queues state idx with priority f. Relaxations mostly land on or
 // near the current minimum, so the level search starts there.
-func (q *stateQueue) push(f float64, key uint64, cost float64) {
+func (q *stateQueue) push(f float64, idx int) {
 	i := len(q.levels) - 1
 	for i >= 0 && q.levels[i].f < f {
 		i--
@@ -76,92 +106,117 @@ func (q *stateQueue) push(f float64, key uint64, cost float64) {
 		q.insertLevel(i, f)
 	}
 	lv := &q.levels[i]
-	h := append(lv.heap, qentry{key: key, cost: cost})
-	j := len(h) - 1
-	for j > 0 {
-		p := (j - 1) / 2
-		if h[p].key <= h[j].key {
-			break
-		}
-		h[j], h[p] = h[p], h[j]
-		j = p
+	b := q.bitset(lv.blk)
+	w := idx >> 6
+	word := &b[q.nsum+w]
+	bit := uint64(1) << (idx & 63)
+	if *word&bit != 0 {
+		return // a twin: the state is already queued under f
 	}
-	lv.heap = h
+	if *word == 0 {
+		b[w>>6] |= 1 << (w & 63)
+	}
+	*word |= bit
+	lv.n++
 }
 
-// insertLevel opens an empty level for f at index at, reusing a spare
-// buffer when there is one.
+// insertLevel opens an empty level for f at index at, on a bitset
+// emptied earlier in the search or else the next one never used since
+// the last reset.
 func (q *stateQueue) insertLevel(at int, f float64) {
-	var buf []qentry
+	var blk int32
 	if n := len(q.spare); n > 0 {
-		buf = q.spare[n-1]
-		q.spare[n-1] = nil
+		blk = q.spare[n-1]
 		q.spare = q.spare[:n-1]
+	} else {
+		blk = q.nblk
+		q.nblk++
+		q.extend(blk)
 	}
 	q.levels = append(q.levels, qlevel{})
 	copy(q.levels[at+1:], q.levels[at:])
-	q.levels[at] = qlevel{f: f, heap: buf}
+	q.levels[at] = qlevel{f: f, blk: blk}
 }
 
-// pop removes and returns the first entry in state order. The queue must
-// not be empty.
-func (q *stateQueue) pop() (key uint64, cost float64) {
+// extend makes sure the arena holds bitset blk, which is at most one
+// past the bitsets it holds. The first chunk doubles its capacity up to
+// chunkLevels bitsets, so a router whose searches open few levels keeps
+// few bitsets; later chunks, which only searches with many levels
+// reach, are allocated whole. The words past a chunk's length were
+// never written, so a bitset taken from there is all zero.
+func (q *stateQueue) extend(blk int32) {
+	c := int(blk / chunkLevels)
+	if c == len(q.chunks) {
+		n := chunkLevels
+		if c == 0 {
+			n = 4
+		}
+		q.chunks = append(q.chunks, make([]uint64, 0, n*q.size))
+	}
+	ch := q.chunks[c]
+	if end := int(blk%chunkLevels+1) * q.size; end > len(ch) {
+		if end > cap(ch) {
+			ch = append(make([]uint64, 0, min(2*cap(ch), chunkLevels*q.size)), ch...)
+		}
+		q.chunks[c] = ch[:end]
+	}
+}
+
+// pop removes the first entry in state order and returns its state index
+// and priority. The queue must not be empty.
+func (q *stateQueue) pop() (idx int, f float64) {
 	last := len(q.levels) - 1
-	h := q.levels[last].heap
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h = h[:n]
-	i := 0
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		m := l
-		if r := l + 1; r < n && h[r].key < h[l].key {
-			m = r
-		}
-		if h[i].key <= h[m].key {
-			break
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
+	lv := &q.levels[last]
+	b := q.bitset(lv.blk)
+	s := 0
+	for b[s] == 0 {
+		s++
 	}
-	if n == 0 {
-		q.spare = append(q.spare, h)
-		q.levels[last] = qlevel{}
+	sum := b[s]
+	w := s<<6 | bits.TrailingZeros64(sum)
+	word := &b[q.nsum+w]
+	idx = w<<6 | bits.TrailingZeros64(*word)
+	*word &= *word - 1
+	if *word == 0 {
+		b[s] = sum & (sum - 1)
+	}
+	f = lv.f
+	if lv.n--; lv.n == 0 {
+		q.spare = append(q.spare, lv.blk)
 		q.levels = q.levels[:last]
-	} else {
-		q.levels[last].heap = h
 	}
-	return top.key, top.cost
+	return idx, f
 }
 
-// reset empties the queue, keeping every buffer for reuse.
+// reset empties the queue. A search that ends at its goal leaves levels
+// queued; their set words, found through the summaries, are cleared, so
+// every bitset of the arena is all zero again and the next search hands
+// them out from the first.
 func (q *stateQueue) reset() {
-	for i := range q.levels {
-		q.spare = append(q.spare, q.levels[i].heap[:0])
+	for _, lv := range q.levels {
+		b := q.bitset(lv.blk)
+		for s, sum := range b[:q.nsum] {
+			for ; sum != 0; sum &= sum - 1 {
+				b[q.nsum+(s<<6|bits.TrailingZeros64(sum))] = 0
+			}
+			b[s] = 0
+		}
 	}
-	clear(q.levels)
 	q.levels = q.levels[:0]
+	q.spare = q.spare[:0]
+	q.nblk = 0
 }
 
-// trim empties the queue and drops buffers beyond the retention bounds.
+// trim empties the queue and drops the arena chunks and bookkeeping
+// beyond maxRetainedLevels levels: all chunks but the first.
 func (q *stateQueue) trim() {
 	q.reset()
-	kept, total := 0, 0
-	for _, b := range q.spare {
-		if kept < maxRetainedLevels && total+cap(b) <= maxRetainedPQ {
-			total += cap(b)
-			q.spare[kept] = b
-			kept++
-		}
+	if len(q.chunks) > 1 {
+		clear(q.chunks[1:])
+		q.chunks = q.chunks[:1]
 	}
-	clear(q.spare[kept:])
-	q.spare = q.spare[:kept]
 	if cap(q.spare) > maxRetainedLevels {
-		q.spare = append(make([][]qentry, 0, kept), q.spare...)
+		q.spare = nil
 	}
 	if cap(q.levels) > maxRetainedLevels {
 		q.levels = nil

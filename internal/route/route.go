@@ -104,9 +104,11 @@ type Router struct {
 	oracle *dist.Oracle
 	maxLat int
 
-	cells []cell
-	epoch int32
-	q     stateQueue
+	cells  []cell
+	epoch  int32
+	q      stateQueue
+	stride int     // queue index stride per elapsed row: SlotWords·64
+	rowOf  []int32 // the row of each queue index word: word / SlotWords
 
 	// flat and step are the heuristic tables of the current FindPath
 	// call, indexed by elapsed; shared marks the phases at which the
@@ -149,17 +151,24 @@ func NewRouter(g *mrrg.Graph, maxLat int) *Router {
 	if maxLat < 1 {
 		maxLat = 1
 	}
-	return &Router{
+	r := &Router{
 		g:         g,
 		oracle:    dist.For(g),
 		maxLat:    maxLat,
 		cells:     make([]cell, g.NumSlots()*(maxLat+1)),
+		q:         newStateQueue((maxLat + 1) * g.SlotWords()),
+		stride:    g.SlotWords() * 64,
+		rowOf:     make([]int32, (maxLat+1)*g.SlotWords()),
 		flat:      make([]float64, maxLat+1),
 		step:      make([]float64, maxLat+1),
 		shared:    make([]bool, maxLat+1),
 		banStamp:  make([]int32, g.NumNodes()),
 		nodeStamp: make([]int32, g.NumNodes()),
 	}
+	for w := range r.rowOf {
+		r.rowOf[w] = int32(w / g.SlotWords())
+	}
+	return r
 }
 
 // MaxLat returns the largest latency this router accepts.
@@ -215,9 +224,10 @@ func bumpEpoch(e *int32, stamps []int32) int32 {
 // cell returns the search state of resource n at elapsed e. Within one
 // search every state reached has Time(n) = (Time(src)+e) mod II, so
 // (Slot(n), e) names it uniquely.
-func (r *Router) cell(n mrrg.Node, e int) *cell {
-	return &r.cells[r.g.Slot(n)*(r.maxLat+1)+e]
-}
+func (r *Router) cell(n mrrg.Node, e int) *cell { return r.slotCell(r.g.Slot(n), e) }
+
+// slotCell returns the search state of the resource in slot at elapsed e.
+func (r *Router) slotCell(slot, e int) *cell { return &r.cells[slot*(r.maxLat+1)+e] }
 
 // nextEpoch starts a search by invalidating every cell in O(1), clearing
 // the stamps on the (astronomically rare) int32 wrap.
@@ -230,13 +240,6 @@ func (r *Router) nextEpoch() int32 {
 	}
 	r.epoch++
 	return r.epoch
-}
-
-// key packs a state for the queue so that ascending key is the state
-// order (queue.go) within one priority: deeper states first, then
-// ascending node.
-func (r *Router) key(n mrrg.Node, e int) uint64 {
-	return uint64(r.maxLat-e)<<32 | uint64(uint32(n))
 }
 
 // FindPath returns the minimum-cost chain of lat-1 routing resources
@@ -267,7 +270,10 @@ func (r *Router) key(n mrrg.Node, e int) uint64 {
 // The returned path never repeats a resource (a repeat would collide
 // with a neighbouring iteration); when the cheapest path would repeat,
 // up to three increasingly constrained retries look for a simple
-// alternative.
+// alternative. Two positions of a path on one resource share its modulo
+// time, so they lie a positive multiple of II apart, while the path's
+// positions, at elapsed 1..lat-1, span lat-2 cycles: a route with
+// lat <= II+1 cannot repeat a resource, and is not checked.
 func (r *Router) FindPath(src, dst mrrg.Node, lat int, cost CostFn, floor Floor) (path []mrrg.Node, ok bool) {
 	r.calls.Add(1)
 	if lat < 1 || lat > r.maxLat {
@@ -281,9 +287,11 @@ func (r *Router) FindPath(src, dst mrrg.Node, lat int, cost CostFn, floor Floor)
 		if !found {
 			return nil, false
 		}
-		if dup := r.firstDuplicate(p); dup != mrrg.Invalid {
-			r.banStamp[dup] = ban
-			continue
+		if lat > r.g.II+1 {
+			if dup := r.firstDuplicate(p); dup != mrrg.Invalid {
+				r.banStamp[dup] = ban
+				continue
+			}
 		}
 		r.found.Add(1)
 		return p, true
@@ -400,25 +408,31 @@ func (r *Router) search(src, dst mrrg.Node, lat int, cost CostFn, ban int32, ord
 	if int(drow[r.g.FeedsPE(src)])+1 > lat {
 		return 0, false
 	}
+	// The queue holds state indices (lat-e)·stride + slot (queue.go);
+	// the resource in slot at elapsed e is node slot·II + (t0+e) mod II.
+	ii, t0, stride := r.g.II, r.g.Time(src), r.stride
 	*r.cell(src, 0) = cell{dist: 0, from: mrrg.Invalid, stamp: epoch}
-	r.q.push(order[0], r.key(src, 0), 0)
+	r.q.push(order[0], lat*stride+r.g.Slot(src))
 
 	for !r.q.empty() {
-		k, curCost := r.q.pop()
+		idx, f := r.q.pop()
 		r.Expansions++
-		node, e := mrrg.Node(uint32(k)), r.maxLat-int(k>>32)
-		if curCost > r.cell(node, e).dist {
-			continue // stale entry
+		row := int(r.rowOf[idx>>6])
+		slot, e := idx-row*stride, lat-row
+		cl := r.slotCell(slot, e)
+		if cl.dist+order[e] != f {
+			continue // stale: the state was re-queued cheaper under another f
 		}
-		if node == dst && e == lat {
+		curCost := cl.dist
+		if e == lat {
+			// Only the destination FU is ever queued at elapsed lat.
 			return curCost, true
 		}
-		if e >= lat {
-			continue
-		}
+		node := mrrg.Node(slot*ii + (t0+e)%ii)
 		nextE := e + 1
 		// Remaining cost after reaching elapsed nextE.
 		h, hc := order[nextE], cut[nextE]
+		nextRow := (row - 1) * stride
 		for _, nxt := range r.g.Succs(node) {
 			c := 0.0
 			if nextE == lat {
@@ -449,12 +463,13 @@ func (r *Router) search(src, dst mrrg.Node, lat int, cost CostFn, ban int32, ord
 			if nc+hc > bound {
 				continue
 			}
-			cl := r.cell(nxt, nextE)
-			if cl.stamp == epoch && cl.dist <= nc {
+			s := r.g.Slot(nxt)
+			ncl := r.slotCell(s, nextE)
+			if ncl.stamp == epoch && ncl.dist <= nc {
 				continue
 			}
-			*cl = cell{dist: nc, from: node, stamp: epoch}
-			r.q.push(nc+h, r.key(nxt, nextE), nc)
+			*ncl = cell{dist: nc, from: node, stamp: epoch}
+			r.q.push(nc+h, nextRow+s)
 		}
 	}
 	return 0, false

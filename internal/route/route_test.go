@@ -308,3 +308,48 @@ func TestDefaultMaxLatFloor(t *testing.T) {
 		t.Fatal("max latency does not scale")
 	}
 }
+
+// Property: a route of latency lat <= II+1 never repeats a resource, so
+// FindPath may skip its duplicate check there. The searches run without
+// the check, over random fabrics and a cost that makes the cheapest path
+// dwell by forwarding through FUs; at lat = II+2 the same searches must
+// find repeats, or the property would be vacuous.
+func TestPropShortRoutesNeverRepeat(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	repeatsAbove := 0
+	for trial := 0; trial < 300; trial++ {
+		a := arch.New("dup", 3+rng.Intn(2), 3+rng.Intn(2), 1+rng.Intn(2), 2, 0)
+		a.Torus = rng.Intn(2) == 0
+		ii := 1 + rng.Intn(4)
+		g := mrrg.New(a, ii)
+		r := NewRouter(g, DefaultMaxLat(a.Rows, a.Cols, ii))
+		cheapFU := func(n mrrg.Node, phase int) (float64, bool) {
+			if g.Kind(n) == mrrg.KindFU {
+				return 0.05, true
+			}
+			return 1, true
+		}
+		srcPE := rng.Intn(a.NumPEs())
+		dstPE := srcPE
+		if rng.Intn(2) == 0 {
+			dstPE = rng.Intn(a.NumPEs())
+		}
+		src := g.FU(srcPE, rng.Intn(ii))
+		for lat := 1; lat <= ii+2; lat++ {
+			dst := g.FU(dstPE, g.Time(src)+lat)
+			ban := bumpEpoch(&r.banEpoch, r.banStamp)
+			path, ok := r.findOnce(src, dst, lat, cheapFU, r.heuristics(dst, lat, Flat(0)), ban)
+			if !ok || r.firstDuplicate(path) == mrrg.Invalid {
+				continue
+			}
+			if lat <= ii+1 {
+				t.Fatalf("trial %d: II %d lat %d route %v repeats a resource", trial, ii, lat, path)
+			}
+			repeatsAbove++
+		}
+	}
+	if repeatsAbove == 0 {
+		t.Fatal("no route at lat II+2 repeated a resource: the check is vacuous")
+	}
+	t.Logf("%d routes at lat II+2 repeat a resource", repeatsAbove)
+}
