@@ -23,11 +23,17 @@ const NoNet Net = -1
 //
 // A per-resource reference count lets overlapping route segments of one
 // net reserve and release independently.
+//
+// The State also keeps its free routing resources as slot bitsets, one
+// row of G.SlotWords() words per modulo time step (FreeRows): Reserve
+// and Release flip a resource's bit when it changes between free and
+// held, so readers get the free set without scanning the occupancy.
 type State struct {
 	G     *Graph
 	occ   []Net
 	phase []int32
 	ref   []int32
+	free  []uint64
 
 	// mark is an epoch-stamped per-node scratch set that rides the pooled
 	// State so hot loops (route-path validity checks, flood dedup) can
@@ -52,6 +58,7 @@ func (g *Graph) blankState() *State {
 		phase: back[:g.numNodes:g.numNodes],
 		ref:   back[g.numNodes : 2*g.numNodes : 2*g.numNodes],
 		mark:  back[2*g.numNodes:],
+		free:  make([]uint64, g.II*g.SlotWords()),
 	}
 }
 
@@ -68,6 +75,20 @@ func NewState(g *Graph) *State {
 	for i := range s.ref {
 		s.ref[i] = 0
 	}
+	// Every valid routing resource is free. Validity and kind are the
+	// same at every time step, so row 0 is built from the slots and
+	// copied to the other rows.
+	w := g.SlotWords()
+	row := s.free[:w]
+	clear(row)
+	for b := 0; b < g.numSlots; b++ {
+		if n := g.node(b, 0); g.valid[n] && g.kind[n] != KindBank {
+			row[b>>6] |= 1 << (b & 63)
+		}
+	}
+	for t := 1; t < g.II; t++ {
+		copy(s.free[t*w:(t+1)*w], row)
+	}
 	return s
 }
 
@@ -78,6 +99,7 @@ func (s *State) Clone() *State {
 	copy(c.occ, s.occ)
 	copy(c.phase, s.phase)
 	copy(c.ref, s.ref)
+	copy(c.free, s.free)
 	return c
 }
 
@@ -135,22 +157,23 @@ func (s *State) Admit(n Node, net Net, phase int) (ok, shared bool) {
 	return shared, shared
 }
 
-// FreeRoutingSlots snapshots the free routing resources into free, one
-// slot bitset (G.SlotWords() words) per modulo time step, row t at
-// free[t*G.SlotWords():]: slot b is set in row t iff its node at time t
-// is valid, unoccupied and not a bank port. free must hold II rows.
-func (s *State) FreeRoutingSlots(free []uint64) {
-	g := s.G
-	w := g.SlotWords()
-	clear(free[:g.II*w])
-	for n, occ := range s.occ {
-		if occ != NoNet || !g.valid[n] || g.kind[n] == KindBank {
-			continue
-		}
-		b := int(g.slot[n])
-		t := n - b*g.II
-		free[t*w+b>>6] |= 1 << (b & 63)
-	}
+// FreeRows returns the free routing resources, one slot bitset
+// (G.SlotWords() words) per modulo time step, row t at
+// [t*G.SlotWords():]: slot b is set in row t iff its node at time t is
+// valid, unoccupied and not a bank port. The rows are the State's own
+// and change with every Reserve and Release; callers must not modify
+// them.
+func (s *State) FreeRows() []uint64 { return s.free }
+
+// FreeRoutingSlots snapshots FreeRows into free, which must hold II
+// rows.
+func (s *State) FreeRoutingSlots(free []uint64) { copy(free, s.free) }
+
+// flipFree toggles n's bit in the free rows.
+func (s *State) flipFree(n Node) {
+	b := int(s.G.slot[n])
+	t := int(n) - b*s.G.II
+	s.free[t*s.G.SlotWords()+b>>6] ^= 1 << (b & 63)
 }
 
 // Reserve claims n for (net, phase). It returns an error if n is invalid
@@ -162,6 +185,9 @@ func (s *State) Reserve(n Node, net Net, phase int) error {
 	if s.occ[n] != NoNet && (s.occ[n] != net || int(s.phase[n]) != phase) {
 		return fmt.Errorf("mrrg: %s held by net %d phase %d (want net %d phase %d)",
 			s.G.String(n), s.occ[n], s.phase[n], net, phase)
+	}
+	if s.occ[n] == NoNet && s.G.kind[n] != KindBank {
+		s.flipFree(n)
 	}
 	s.occ[n] = net
 	s.phase[n] = int32(phase)
@@ -181,6 +207,9 @@ func (s *State) Release(n Node, net Net) {
 	if s.ref[n] == 0 {
 		s.occ[n] = NoNet
 		s.phase[n] = 0
+		if s.G.kind[n] != KindBank {
+			s.flipFree(n)
+		}
 	}
 }
 

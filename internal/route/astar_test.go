@@ -209,7 +209,7 @@ func TestAStarMatchesDijkstraCosts(t *testing.T) {
 
 		for _, floor := range []float64{0.25, 0} {
 			ban := bumpEpoch(&r.banEpoch, r.banStamp)
-			path, ok := r.findOnce(src, dst, lat, cost, r.heuristics(dst, lat, Flat(floor)), ban)
+			path, ok := r.findOnce(src, dst, lat, cost, r.heuristics(src, dst, lat, Flat(floor)), ban)
 			if ok != wantOK {
 				t.Fatalf("trial %d floor %v: found=%v, reference says %v (lat %d)", trial, floor, ok, wantOK, lat)
 			}
@@ -253,7 +253,7 @@ func TestAStarMatchesDijkstraCosts(t *testing.T) {
 			return 1 + float64(lookup(n, phase)%2), true
 		}
 		want, wantOK = refMinCost(g, src, dst, lat, treeCost)
-		split := r.heuristics(dst, lat, floor)
+		split := r.heuristics(src, dst, lat, floor)
 		h := r.flat
 		if split {
 			h = r.step

@@ -44,6 +44,10 @@ import "math/bits"
 // Expansions and nothing else. Strict and PathFinder costs produce none
 // on any test or benchmark stream.
 //
+// A level bitset spans the current search's lat+1 rows (reset sizes
+// it), not the router's maxLat+1, so a short search clears and opens
+// short bitsets.
+//
 // Searches produce few distinct f values: strict searches keep at most
 // five levels alive, PathFinder's history costs usually under 16 and
 // rarely more than 60. Levels are kept sorted with the minimum last, and
@@ -78,12 +82,15 @@ type stateQueue struct {
 	spare  []int32    // bitsets emptied since the last reset, reused first
 	nsum   int        // summary words per bitset, which precede its bits
 	size   int        // words per bitset
+	words  int        // state words of the largest search: trim's size
 }
 
-// newStateQueue returns a queue over state indices below 64·words.
+// newStateQueue returns a queue over state indices below 64·words; reset
+// sizes it for each search.
 func newStateQueue(words int) stateQueue {
-	nsum := (words + 63) >> 6
-	return stateQueue{nsum: nsum, size: nsum + words}
+	q := stateQueue{words: words}
+	q.reset(words)
+	return q
 }
 
 // bitset returns level bitset blk: its summary words, then its bits.
@@ -156,7 +163,9 @@ func (q *stateQueue) extend(blk int32) {
 	ch := q.chunks[c]
 	if end := int(blk%chunkLevels+1) * q.size; end > len(ch) {
 		if end > cap(ch) {
-			ch = append(make([]uint64, 0, min(2*cap(ch), chunkLevels*q.size)), ch...)
+			// A later search may use larger bitsets than the chunk
+			// was made for, so the new capacity is at least end.
+			ch = append(make([]uint64, 0, max(end, min(2*cap(ch), chunkLevels*q.size))), ch...)
 		}
 		q.chunks[c] = ch[:end]
 	}
@@ -188,11 +197,12 @@ func (q *stateQueue) pop() (idx int, f float64) {
 	return idx, f
 }
 
-// reset empties the queue. A search that ends at its goal leaves levels
-// queued; their set words, found through the summaries, are cleared, so
-// every bitset of the arena is all zero again and the next search hands
-// them out from the first.
-func (q *stateQueue) reset() {
+// reset empties the queue and sizes its bitsets for state indices below
+// 64·words. A search that ends at its goal leaves levels queued; their
+// set words, found through the summaries, are cleared, so every word of
+// the arena is zero again: the next search lays its bitsets over the
+// arena at its own size and hands them out from the first.
+func (q *stateQueue) reset(words int) {
 	for _, lv := range q.levels {
 		b := q.bitset(lv.blk)
 		for s, sum := range b[:q.nsum] {
@@ -205,12 +215,15 @@ func (q *stateQueue) reset() {
 	q.levels = q.levels[:0]
 	q.spare = q.spare[:0]
 	q.nblk = 0
+	q.nsum = (words + 63) >> 6
+	q.size = q.nsum + words
 }
 
-// trim empties the queue and drops the arena chunks and bookkeeping
-// beyond maxRetainedLevels levels: all chunks but the first.
+// trim empties the queue, sizes it for the largest search, and drops
+// the arena chunks and bookkeeping beyond maxRetainedLevels levels: all
+// chunks but the first.
 func (q *stateQueue) trim() {
-	q.reset()
+	q.reset(q.words)
 	if len(q.chunks) > 1 {
 		clear(q.chunks[1:])
 		q.chunks = q.chunks[:1]

@@ -338,7 +338,7 @@ func TestPropShortRoutesNeverRepeat(t *testing.T) {
 		for lat := 1; lat <= ii+2; lat++ {
 			dst := g.FU(dstPE, g.Time(src)+lat)
 			ban := bumpEpoch(&r.banEpoch, r.banStamp)
-			path, ok := r.findOnce(src, dst, lat, cheapFU, r.heuristics(dst, lat, Flat(0)), ban)
+			path, ok := r.findOnce(src, dst, lat, cheapFU, r.heuristics(src, dst, lat, Flat(0)), ban)
 			if !ok || r.firstDuplicate(path) == mrrg.Invalid {
 				continue
 			}

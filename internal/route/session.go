@@ -19,19 +19,20 @@ func ForSession(s *mapping.Session) *Router {
 // own-net sharing discount is only reachable once some edge of the net is
 // routed (the producer's own FU and bank-port reservations sit at phase
 // 0, which a mid-path state can never match), so a net with no routed
-// edges pays full unit cost on every step: Flat(1). Otherwise the floor
+// edges pays full unit cost on every step: Min 1. Otherwise the floor
 // is StrictSharedCost, and it carries the net's committed routes, which
 // hold every resource the net holds past phase 0, so that FindPath can
-// price the phases they cannot share at full cost. It references the
+// price the phases they cannot share at full cost. Either way it names
+// the session's State, whose Admit both costs admit by. It references the
 // session's routes and the DFG's out-edge list instead of copying them.
 func StrictFloor(s *mapping.Session, producer int) Floor {
 	out := s.M.DFG.OutEdges(producer)
 	for _, eid := range out {
 		if s.M.Routed(eid) {
-			return Floor{Min: StrictSharedCost, Routes: s.M.Routes, Edges: out}
+			return Floor{Min: StrictSharedCost, Routes: s.M.Routes, Edges: out, State: s.State}
 		}
 	}
-	return Flat(1)
+	return Floor{Min: 1, State: s.State}
 }
 
 // Edge routes edge e of the session strictly (free or own-net resources
