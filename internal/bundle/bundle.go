@@ -18,6 +18,16 @@ import (
 // Version identifies the bundle format.
 const Version = 1
 
+// MaxGraphNodes bounds the MRRG a bundle may ask for: Unmarshal rejects
+// a bundle whose II times its fabric's slots (mrrg.SlotsOf) exceeds it,
+// before any graph is built, so a hostile "ii" cannot demand an
+// unbounded allocation. A graph costs about 85 B per node (an 8x8r4
+// fabric's 592 slots at II 6 build in about 304 KB), so the bound is about
+// 90 MB. It admits the 8x8r4 fabric up to II 1,771 and the largest ADL
+// fabric (32x32, 16 registers, 32 banks: 21,568 slots) up to II 48,
+// against the mappers' default II cap of 32.
+const MaxGraphNodes = 1 << 20
+
 // Document is the on-disk form of a mapping.
 type Document struct {
 	Version int        `json:"version"`
@@ -140,6 +150,9 @@ func Unmarshal(data []byte) (*mapping.Mapping, error) {
 	}
 	if doc.II < 1 {
 		return nil, fmt.Errorf("bundle: bad II %d", doc.II)
+	}
+	if slots := mrrg.SlotsOf(a); doc.II > MaxGraphNodes/slots {
+		return nil, fmt.Errorf("bundle: II %d on %d resource slots exceeds %d graph nodes", doc.II, slots, MaxGraphNodes)
 	}
 	if len(doc.Places) != g.NumNodes() || len(doc.Routes) != g.NumEdges() || len(doc.Ports) != g.NumNodes() {
 		return nil, fmt.Errorf("bundle: placement/route/port counts do not match the DFG")

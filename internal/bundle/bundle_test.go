@@ -10,6 +10,7 @@ import (
 	"rewire/internal/config"
 	"rewire/internal/kernels"
 	"rewire/internal/mapping"
+	"rewire/internal/mrrg"
 	"rewire/internal/pathfinder"
 	"rewire/internal/sim"
 	"rewire/internal/sweep"
@@ -117,6 +118,27 @@ func TestUnmarshalRevalidates(t *testing.T) {
 	// That also breaks the count (one extra), either way it must fail.
 	if _, err := Unmarshal([]byte(s)); err == nil {
 		t.Fatal("corrupted placements accepted")
+	}
+}
+
+// TestUnmarshalBoundsGraph checks that a bundle asking for a graph over
+// MaxGraphNodes is rejected before any graph is built (at the paper's
+// 8x8r4 fabric "ii": 1000000 would ask for about 50 GB). The II is the
+// first one over the bound, so a build that slips through stays small.
+func TestUnmarshalBoundsGraph(t *testing.T) {
+	m := sample(t)
+	data, err := Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ii := MaxGraphNodes/mrrg.SlotsOf(m.Arch) + 1
+	s := strings.Replace(string(data), "\"ii\": "+itoa(m.II), "\"ii\": "+itoa(ii), 1)
+	_, missesBefore := mrrg.CacheStats()
+	if _, err := Unmarshal([]byte(s)); err == nil || !strings.Contains(err.Error(), "exceeds") {
+		t.Errorf("ii %d: Unmarshal = %v, want the graph bound", ii, err)
+	}
+	if _, misses := mrrg.CacheStats(); misses != missesBefore {
+		t.Errorf("ii %d: the rejected bundle built %d graphs", ii, misses-missesBefore)
 	}
 }
 

@@ -16,7 +16,7 @@
 //
 // A nil *Ledger is the disabled ledger: Append is a no-op costing one
 // pointer check and zero allocations (pinned by
-// BenchmarkSubLedgerDisabled), so call sites never guard.
+// TestDisabledLedgerZeroAlloc), so call sites never guard.
 package ledger
 
 import (

@@ -180,6 +180,30 @@ func TestNilSafe(t *testing.T) {
 	}
 }
 
+// TestDisabledLedgerZeroAlloc pins the disabled-ledger contract: with
+// no ledger configured (a nil *Ledger), recording a completed run costs
+// a pointer check and nothing else: no marshaling, no lock, no
+// allocation.
+func TestDisabledLedgerZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	var l *Ledger
+	seed := int64(0)
+	allocs := testing.AllocsPerRun(1000, func() {
+		seed++
+		if err := l.Append(Entry{
+			Source: "bench", Kernel: "mvt", Arch: "4x4r4", Mapper: "rewire",
+			Success: true, II: 3, MII: 2, Seed: seed,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("nil Append allocates %v times, want 0", allocs)
+	}
+}
+
 // A memory ledger keeps entries without a backing file.
 func TestMemoryLedger(t *testing.T) {
 	l := NewMemory()

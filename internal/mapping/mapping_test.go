@@ -243,6 +243,44 @@ func TestValidateRejectsCorruption(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsBadBankPorts edits a stored bank port the way a
+// hostile bundle can: each edit keeps the port's modulo time, so only a
+// check of the resource itself catches it, and GenerateConfig would
+// panic on the mapping Validate let through.
+func TestValidateRejectsBadBankPorts(t *testing.T) {
+	// Two loads at the same modulo time on two memory PEs, so they hold
+	// the two distinct bank ports of that cycle.
+	build := func() *Mapping {
+		g := dfg.New("loads")
+		g.AddNode("a", dfg.OpLoad)
+		g.AddNode("b", dfg.OpLoad)
+		s := newSess(t, g, 3)
+		mustPlace(t, s, 0, 0, 1)
+		mustPlace(t, s, 1, 4, 1)
+		if err := Validate(s.M); err != nil {
+			t.Fatal(err)
+		}
+		return s.M
+	}
+	far := mrrg.Node(3 << 20) // II · 2^20: the same modulo time, past every node
+	for _, tc := range []struct {
+		name   string
+		mutate func(m *Mapping)
+		want   string
+	}{
+		{"port mod II is an FU", func(m *Mapping) { m.BankPorts[0] %= mrrg.Node(m.II) }, "not a bank port"},
+		{"port past the graph", func(m *Mapping) { m.BankPorts[0] += far }, "not a bank port"},
+		{"negative port", func(m *Mapping) { m.BankPorts[0] = -2 }, "not a bank port"},
+		{"shared port", func(m *Mapping) { m.BankPorts[1] = m.BankPorts[0] }, "shares bank port"},
+	} {
+		m := build()
+		tc.mutate(m)
+		if err := Validate(m); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Validate = %v, want an error containing %q", tc.name, err, tc.want)
+		}
+	}
+}
+
 func TestValidateRejectsNegativeLatency(t *testing.T) {
 	s := newSess(t, chain(), 2)
 	mustPlace(t, s, 0, 0, 5)

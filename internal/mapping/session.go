@@ -308,17 +308,34 @@ func sortInts(a []int) {
 }
 
 // Validate independently checks a finished mapping: every node placed on
-// a compatible, exclusively-held FU; every memory op holding a bank port
-// at its execution slot; every edge routed with a structurally valid,
-// conflict-free path. It rebuilds occupancy from scratch, so it cannot be
+// a compatible, exclusively-held FU of the fabric; every memory op
+// holding a bank port of its own at its execution slot; every edge
+// routed with a structurally valid, conflict-free path of graph
+// resources. It rebuilds occupancy from scratch, so it cannot be
 // fooled by mapper bookkeeping bugs.
 func Validate(m *Mapping) error {
 	if len(m.Place) != m.DFG.NumNodes() || len(m.Routes) != m.DFG.NumEdges() {
 		return fmt.Errorf("mapping: shape mismatch with DFG %q", m.DFG.Name)
 	}
-	for v := range m.Place {
+	if m.II < 1 {
+		return fmt.Errorf("mapping: bad II %d", m.II)
+	}
+	for v, p := range m.Place {
 		if !m.Placed(v) {
 			return fmt.Errorf("mapping: node %d (%s) unplaced", v, m.DFG.Nodes[v].Name)
+		}
+		if p.PE >= m.Arch.NumPEs() {
+			return fmt.Errorf("mapping: node %d (%s) on PE %d of %d", v, m.DFG.Nodes[v].Name, p.PE, m.Arch.NumPEs())
+		}
+	}
+	// Route hops must be resources of the graph before Restore indexes
+	// its tables by them.
+	nodes := mrrg.SlotsOf(m.Arch) * m.II
+	for e, route := range m.Routes {
+		for _, n := range route {
+			if n < 0 || int(n) >= nodes {
+				return fmt.Errorf("mapping: edge %d route holds resource %d of %d", e, n, nodes)
+			}
 		}
 	}
 	s, err := Restore(m)
@@ -333,7 +350,10 @@ func Validate(m *Mapping) error {
 				m.DFG.Nodes[ed.From].Name, m.DFG.Nodes[ed.To].Name)
 		}
 	}
-	// Bank ports must sit at the right modulo time.
+	// Each memory op holds its own bank-port resource at its modulo
+	// time. Restore re-assigns ports, so the stored ones are checked
+	// here: GenerateConfig indexes the banks by them.
+	s.State.MarkBegin()
 	for v := range m.Place {
 		port := m.BankPorts[v]
 		isMem := m.DFG.Nodes[v].Op.IsMem()
@@ -342,10 +362,17 @@ func Validate(m *Mapping) error {
 			return fmt.Errorf("mapping: memory op %d without bank port", v)
 		case !isMem && port != mrrg.Invalid:
 			return fmt.Errorf("mapping: non-memory op %d holds bank port", v)
-		case isMem && s.Graph.Time(port) != ((m.Place[v].Time%m.II)+m.II)%m.II:
+		case !isMem:
+			continue
+		case port < 0 || int(port) >= s.Graph.NumNodes() || s.Graph.Kind(port) != mrrg.KindBank:
+			return fmt.Errorf("mapping: memory op %d holds resource %d, not a bank port", v, port)
+		case s.Graph.Time(port) != ((m.Place[v].Time%m.II)+m.II)%m.II:
 			return fmt.Errorf("mapping: node %d bank port at t=%d, executes at t=%d",
 				v, s.Graph.Time(port), m.Place[v].Time%m.II)
+		case s.State.Marked(port):
+			return fmt.Errorf("mapping: node %d shares bank port %s with another memory op", v, s.Graph.String(port))
 		}
+		s.State.Mark(port)
 	}
 	return nil
 }

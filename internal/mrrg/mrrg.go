@@ -116,7 +116,7 @@ func New(cgra *arch.CGRA, ii int) *Graph {
 	}
 	g := &Graph{Arch: cgra, II: ii}
 	g.slotsPerPE = 1 + int(arch.NumDirs) + cgra.Regs
-	g.numSlots = cgra.NumPEs()*g.slotsPerPE + cgra.BankPorts()
+	g.numSlots = SlotsOf(cgra)
 	g.numNodes = g.numSlots * ii
 
 	g.kind = make([]Kind, g.numNodes)
@@ -132,6 +132,12 @@ func New(cgra *arch.CGRA, ii int) *Graph {
 	g.classify()
 	g.connect()
 	return g
+}
+
+// SlotsOf returns the number of static resources of cgra: the slots of
+// each of its graphs (NumSlots), which hold that many nodes per II.
+func SlotsOf(cgra *arch.CGRA) int {
+	return cgra.NumPEs()*(1+int(arch.NumDirs)+cgra.Regs) + cgra.BankPorts()
 }
 
 // node packs (slot, t) into a Node id.

@@ -199,9 +199,9 @@ func TestCandidatesMatchCanPlace(t *testing.T) {
 	t.Logf("%d windows compared; memory-op cycles with full ports %d, free %d", compared, fullPorts, freePorts)
 }
 
-// BenchmarkCandidates enumerates a node's slots over a busy 4x4r4
-// session at II 4 with a warm buffer; it is pinned at 0 allocs/op.
-func BenchmarkCandidates(b *testing.B) {
+// candidatesFixture is a busy 4x4r4 session at II 4, the window of
+// node 0 and a warm candidate buffer.
+func candidatesFixture() (*mapping.Session, Window, []mapping.Placement) {
 	rng := rand.New(rand.NewSource(1))
 	g := dfg.Random(rng, dfg.RandomConfig{Nodes: 24, EdgeProb: 0.1, MemFrac: 0.3})
 	a := arch.New4x4(4)
@@ -210,11 +210,29 @@ func BenchmarkCandidates(b *testing.B) {
 		_ = s.PlaceNode(v, rng.Intn(a.NumPEs()), rng.Intn(8))
 	}
 	w := Window{Lo: 0, Hi: DefaultSlack(4)}
-	buf := Candidates(s, 0, w, nil)
+	return s, w, Candidates(s, 0, w, nil)
+}
+
+// BenchmarkCandidates enumerates a node's slots over a busy session with
+// a warm buffer; TestCandidatesAllocs pins it at 0 allocations.
+func BenchmarkCandidates(b *testing.B) {
+	s, w, buf := candidatesFixture()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf = Candidates(s, 0, w, buf[:0])
+	}
+}
+
+// TestCandidatesAllocs pins placement-candidate enumeration into a warm
+// buffer at zero allocations.
+func TestCandidatesAllocs(t *testing.T) {
+	s, w, buf := candidatesFixture()
+	if len(buf) == 0 {
+		t.Fatal("node 0 has no candidates; the check needs some")
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { buf = Candidates(s, 0, w, buf[:0]) }); allocs != 0 {
+		t.Fatalf("Candidates into a warm buffer allocates %v times, want 0", allocs)
 	}
 }
 

@@ -8,42 +8,100 @@ import (
 	"rewire/internal/mrrg"
 )
 
+// queryStream is a fixed list of router queries over one fabric and
+// occupancy: the query streams of the root package's BenchmarkSubRouter,
+// BenchmarkFindPathCongested and BenchmarkFindPathShared.
+type queryStream struct {
+	r       *Router
+	cost    CostFn
+	floor   Floor
+	queries []streamQuery
+}
+
+type streamQuery struct {
+	src, dst mrrg.Node
+	lat      int
+}
+
+// run routes every query once and returns how many paths the router
+// handed back that hold at least one resource: a latency-1 path is
+// empty and allocates nothing.
+func (s *queryStream) run() (paths int) {
+	for _, q := range s.queries {
+		if p, ok := s.r.FindPath(q.src, q.dst, q.lat, s.cost, s.floor); ok && len(p) > 0 {
+			paths++
+		}
+	}
+	return paths
+}
+
+// queryStreams pins, per stream, the router's total pops and the
+// allocations of one warm pass. Every path a search builds is one
+// allocation: the paths FindPath returns, and those it discards because
+// they repeat a resource before it retries (SubRouter and
+// FindPathCongested retry 301 and 179 times; the shared stream never).
+var queryStreams = []struct {
+	name             string
+	build            func() *queryStream
+	expansions       int64
+	paths, discarded int
+}{
+	{"SubRouter", subRouterStream, 10817, 926, 301},
+	{"FindPathCongested", congestedStream, 19567, 579, 179},
+	{"FindPathShared", sharedStream, 17350, 496, 0},
+}
+
 // TestRouterExpansionTotals pins the exact work of the router on the
-// query streams of the root package's BenchmarkSubRouter,
-// BenchmarkFindPathCongested and BenchmarkFindPathShared: the same
-// fabrics, occupancy, seeds and query draws, replayed for a fixed number
-// of queries. Expansions is a deterministic function of the search, so
-// any change to the pruning, the heuristics or the queue's pop order
-// that adds or removes one pop on any query moves a total here.
+// three query streams: the same fabrics, occupancy, seeds and query
+// draws as the benchmarks, 2,000, 2,000 and 512 queries. Expansions is
+// a deterministic function of the search, so any change to the pruning,
+// the heuristics or the queue's pop order that adds or removes one pop
+// on any query moves a total here.
 func TestRouterExpansionTotals(t *testing.T) {
-	for _, tc := range []struct {
-		name    string
-		queries int
-		run     func(n int) int64
-		want    int64
-	}{
-		{"SubRouter", 2000, subRouterStream, 10817},
-		{"FindPathCongested", 2000, congestedStream, 19567},
-		{"FindPathShared", 512, sharedStream, 17350},
-	} {
-		if got := tc.run(tc.queries); got != tc.want {
-			t.Errorf("%s: %d queries pop %d states, want %d", tc.name, tc.queries, got, tc.want)
+	for _, tc := range queryStreams {
+		s := tc.build()
+		start := s.r.Expansions
+		s.run()
+		if got := s.r.Expansions - start; got != tc.expansions {
+			t.Errorf("%s: %d queries pop %d states, want %d", tc.name, len(s.queries), got, tc.expansions)
+		}
+	}
+}
+
+// TestRouterStreamAllocs pins the router's allocations on the same
+// streams exactly: once the router's buffers and the graph's per-graph
+// caches (distance-oracle rows, cone rows) are warm, a pass allocates
+// one path per path its searches build and nothing else. The first pass
+// warms them; a first use that allocates is cached per graph, so it is
+// not counted.
+func TestRouterStreamAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	for _, tc := range queryStreams {
+		s := tc.build()
+		if paths := s.run(); paths != tc.paths {
+			t.Fatalf("%s: %d queries return %d non-empty paths, want %d", tc.name, len(s.queries), paths, tc.paths)
+		}
+		if got, want := testing.AllocsPerRun(2, func() { s.run() }), tc.paths+tc.discarded; got != float64(want) {
+			t.Errorf("%s: %d queries allocate %v times, want %d (%d returned paths, %d discarded)",
+				tc.name, len(s.queries), got, want, tc.paths, tc.discarded)
 		}
 	}
 }
 
 // subRouterStream replays BenchmarkSubRouter: strict routing over an
 // empty 8x8r4 fabric at II 4 between random PEs at latencies 1-10.
-func subRouterStream(n int) int64 {
+func subRouterStream() *queryStream {
 	g := mrrg.New(arch.New8x8(4), 4)
 	st := mrrg.NewState(g)
 	r := NewRouter(g, DefaultMaxLat(8, 8, 4))
-	return randomQueries(r, g, StrictCost(st, 1), rand.New(rand.NewSource(1)), n)
+	return &queryStream{r, StrictCost(st, 1), Flat(1), randomQueries(g, rand.New(rand.NewSource(1)), 2000)}
 }
 
 // congestedStream replays BenchmarkFindPathCongested: the same queries
 // over a fabric whose routing resources are half held by a foreign net.
-func congestedStream(n int) int64 {
+func congestedStream() *queryStream {
 	g := mrrg.New(arch.New8x8(4), 4)
 	st := mrrg.NewState(g)
 	rng := rand.New(rand.NewSource(2))
@@ -55,24 +113,25 @@ func congestedStream(n int) int64 {
 		}
 	}
 	r := NewRouter(g, DefaultMaxLat(8, 8, 4))
-	return randomQueries(r, g, StrictCost(st, 1), rng, n)
+	return &queryStream{r, StrictCost(st, 1), Flat(1), randomQueries(g, rng, 2000)}
 }
 
-func randomQueries(r *Router, g *mrrg.Graph, cost CostFn, rng *rand.Rand, n int) int64 {
-	start := r.Expansions
-	for i := 0; i < n; i++ {
+func randomQueries(g *mrrg.Graph, rng *rand.Rand, n int) []streamQuery {
+	qs := make([]streamQuery, n)
+	for i := range qs {
 		srcPE, dstPE := rng.Intn(64), rng.Intn(64)
 		lat := 1 + rng.Intn(10)
-		r.FindPath(g.FU(srcPE, 0), g.FU(dstPE, lat%4), lat, cost, Flat(1))
+		qs[i] = streamQuery{g.FU(srcPE, 0), g.FU(dstPE, lat%4), lat}
 	}
-	return r.Expansions - start
+	return qs
 }
 
 // sharedStream replays BenchmarkFindPathShared: strict routing at the
 // own-net sharing floor for a net holding three committed routes, on a
 // 4x4r2 fabric at II 4 with a third of its routing resources held by a
-// foreign net, cycling through 256 fixed queries after one warm pass.
-func sharedStream(n int) int64 {
+// foreign net, cycling twice through 256 fixed queries after one warm
+// pass over them.
+func sharedStream() *queryStream {
 	g := mrrg.New(arch.New4x4(2), 4)
 	st := mrrg.NewState(g)
 	rng := rand.New(rand.NewSource(3))
@@ -97,22 +156,13 @@ func sharedStream(n int) int64 {
 			floor = Floor{Min: StrictSharedCost, Routes: append(floor.Routes, p)}
 		}
 	}
-	type query struct {
-		dst mrrg.Node
-		lat int
-	}
-	queries := make([]query, 256)
+	queries := make([]streamQuery, 256)
 	for i := range queries {
 		lat := 4 + rng.Intn(8)
-		queries[i] = query{g.FU(rng.Intn(16), lat), lat}
+		queries[i] = streamQuery{src, g.FU(rng.Intn(16), lat), lat}
 	}
-	for _, q := range queries {
-		r.FindPath(src, q.dst, q.lat, cost, floor)
-	}
-	start := r.Expansions
-	for i := 0; i < n; i++ {
-		q := queries[i%len(queries)]
-		r.FindPath(src, q.dst, q.lat, cost, floor)
-	}
-	return r.Expansions - start
+	s := &queryStream{r, cost, floor, queries}
+	s.run()
+	s.queries = append(queries, queries...)
+	return s
 }

@@ -22,8 +22,8 @@
 //	qordiff [-time-threshold 0.5] BASELINE CURRENT
 //
 // where BASELINE and CURRENT are ledger files or directories. Exit
-// status: 0 clean, 1 regression, 2 usage or parse error — benchdiff's
-// convention, so CI gates the same way on both.
+// status: 0 clean, 1 regression, 2 usage or parse error, so CI can gate
+// on it.
 package main
 
 import (
