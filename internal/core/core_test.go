@@ -350,3 +350,47 @@ func TestRejectedPlacementTrialAllocs(t *testing.T) {
 		t.Fatalf("rejected placement trial allocates %.1f times, want 0", allocs)
 	}
 }
+
+// TestFUSlotConflictPrunedWithoutVerify checks that a cluster candidate
+// on the FU slot of an earlier chosen cluster node is pruned without a
+// verify, by CanPlace rather than by admissible's cycle pruning: b and
+// c share no edge, so cycle pruning has nothing to reject, and the
+// counters must be the same with it disabled.
+func TestFUSlotConflictPrunedWithoutVerify(t *testing.T) {
+	type counts struct{ tried, pruned, verified int64 }
+	var runs []counts
+	for _, disable := range []bool{false, true} {
+		f := diamondFixture(t, 3)
+		f.am.opt.DisableCyclePruning = disable
+		u := testCluster(f.g.NumNodes(), 1, 2)
+		u.refreshOrder(f.am)
+		budget := 10
+		// b takes PE 5's FU slot 2; c's first two candidates sit on that
+		// slot, at T 2 and at T 5 = 2 + II.
+		gen := &generator{
+			a: f.am,
+			u: u,
+			cands: map[int][]pcand{
+				1: {{pe: 5, T: 2}},
+				2: {{pe: 5, T: 2}, {pe: 5, T: 5}, {pe: 6, T: 2}},
+			},
+			chosen: make([]pcand, 2),
+			budget: &budget,
+			scr:    f.am.scratch(),
+		}
+		if !gen.assign(0) {
+			t.Fatalf("DisableCyclePruning=%v: the cluster did not place", disable)
+		}
+		e := f.am.eff
+		runs = append(runs, counts{e.PlacementsTried, e.PlacementsPruned, e.VerifyAttempts})
+		if got := (counts{4, 2, 2}); runs[len(runs)-1] != got {
+			t.Fatalf("DisableCyclePruning=%v: tried, pruned, verified = %+v, want %+v", disable, runs[len(runs)-1], got)
+		}
+		if p := f.sess.M.Place[2]; p != (mapping.Placement{PE: 6, Time: 2}) {
+			t.Fatalf("DisableCyclePruning=%v: c placed at %+v, want PE 6 T 2", disable, p)
+		}
+		if err := mapping.Validate(f.sess.M); err != nil {
+			t.Fatalf("DisableCyclePruning=%v: %v", disable, err)
+		}
+	}
+}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"rewire/internal/mrrg"
 	"rewire/internal/route"
 	"rewire/internal/trace"
 )
@@ -106,20 +105,14 @@ func (g *generator) assign(i int) bool {
 }
 
 // admissible applies the cheap execution-cycle pruning of Algorithm 2
-// (lines 6-8) before any resources are touched: FU-slot exclusivity and
-// latency feasibility against every already-chosen cluster node that v
-// depends on.
+// (lines 6-8) before any resources are touched: latency feasibility
+// against every already-chosen cluster node that v depends on. FU-slot
+// exclusivity needs no test here: the chosen nodes are placed in the
+// session, so CanPlace rejects a candidate on one's FU slot right after,
+// counted as pruned the same way.
 func (g *generator) admissible(i, v int, c pcand) bool {
 	if g.a.opt.DisableCyclePruning {
 		return true // ablation: let placement and routing reject instead
-	}
-	ii := g.a.sess.M.II
-	slot := ((c.T % ii) + ii) % ii
-	for j := 0; j < i; j++ {
-		cw := g.chosen[j]
-		if cw.pe == c.pe && ((cw.T%ii)+ii)%ii == slot {
-			return false // same FU slot
-		}
 	}
 	for _, eid := range g.a.g.InEdges(v) {
 		e := g.a.g.Edges[eid]
@@ -240,8 +233,7 @@ func (g *generator) routeOne(eid int) bool {
 	}
 	src := a.sess.Graph.FU(a.sess.M.Place[e.From].PE, a.sess.M.Place[e.From].Time)
 	dst := a.sess.Graph.FU(a.sess.M.Place[e.To].PE, a.sess.M.Place[e.To].Time)
-	path, found := a.router.FindPath(src, dst, lat,
-		route.StrictCost(a.sess.State, mrrg.Net(e.From)), route.StrictFloor(a.sess, e.From))
+	path, found := a.router.FindPath(src, dst, lat, nil, route.StrictFloor(a.sess, e.From))
 	if !found {
 		return false
 	}

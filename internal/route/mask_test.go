@@ -13,10 +13,13 @@ import (
 )
 
 // TestMaskedSearchMatchesUnmasked is the differential test of the
-// masked successor loop. Every query runs twice on one router, once
-// with the floor naming the occupancy its cost admits by and once
-// without, so that only the CostFn filters; path, ok and Expansions
-// must be identical. Both runs must also match denseRouter, the frozen
+// masked successor loop and of strict pricing from the rows. Every
+// query runs twice on one router, once with the floor naming the
+// occupancy its cost admits by and once without, so that only the
+// CostFn filters; path, ok and Expansions must be identical. A query
+// priced by StrictCost runs a third time with a nil CostFn on the floor
+// that names the occupancy, which must again give the identical path,
+// ok and Expansions. The first two runs must also match denseRouter, the frozen
 // reference, on path and ok, and on Expansions for floors without
 // routes, which the reference searches in the same order.
 //
@@ -41,7 +44,7 @@ func TestMaskedSearchMatchesUnmasked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var cov struct{ calls, found, retries, shared, mismatched int }
+	var cov struct{ calls, found, retries, shared, mismatched, strict int }
 	for fab := 0; fab < fabrics; fab++ {
 		var a *arch.CGRA
 		switch fab % 3 {
@@ -106,14 +109,15 @@ func TestMaskedSearchMatchesUnmasked(t *testing.T) {
 		}
 		// The empty net 2 holds nothing, so its floor is Min 1.
 		cases := []struct {
-			cost  CostFn
-			floor Floor
-			net   mrrg.Net
+			cost   CostFn
+			floor  Floor
+			net    mrrg.Net
+			strict bool
 		}{
-			{StrictCost(st, net), tree, net},
-			{pathfinder(net), tree, net},
-			{StrictCost(st, 2), Flat(1), 2},
-			{pathfinder(2), Flat(1), 2},
+			{StrictCost(st, net), tree, net, true},
+			{pathfinder(net), tree, net, false},
+			{StrictCost(st, 2), Flat(1), 2, true},
+			{pathfinder(2), Flat(1), 2, false},
 		}
 
 		for q := 0; q < 30; q++ {
@@ -158,6 +162,15 @@ func TestMaskedSearchMatchesUnmasked(t *testing.T) {
 					t.Fatalf("%s case %d: %s -> %s lat %d:\n masked   ok=%v exp=%d %v\n unmasked ok=%v exp=%d %v",
 						name, ci, g.String(src), g.String(dst), lat, ok, exp, got, wantOK, wantExp, want)
 				}
+				if c.strict {
+					e0 = r.Expansions
+					rows, rowsOK := r.FindPath(src, dst, lat, nil, occ)
+					cov.strict++
+					if rowsOK != ok || !slices.Equal(rows, got) || r.Expansions-e0 != exp {
+						t.Fatalf("%s case %d: %s -> %s lat %d:\n nil cost   ok=%v exp=%d %v\n StrictCost ok=%v exp=%d %v",
+							name, ci, g.String(src), g.String(dst), lat, rowsOK, r.Expansions-e0, rows, ok, exp, got)
+					}
+				}
 
 				e0, r0 := ref.Expansions, ref.retries
 				refPath, refOK := ref.FindPath(src, dst, lat, c.cost, c.floor.Min)
@@ -179,8 +192,21 @@ func TestMaskedSearchMatchesUnmasked(t *testing.T) {
 		t.Fatalf("weak coverage: %d calls, %d found, %d ban retries, %d shared successors, %d mismatched routes",
 			cov.calls, cov.found, cov.retries, cov.shared, cov.mismatched)
 	}
-	t.Logf("%d calls, %d found, %d ban retries, %d shared successors, %d mismatched routes",
-		cov.calls, cov.found, cov.retries, cov.shared, cov.mismatched)
+	t.Logf("%d calls (%d also priced from the rows), %d found, %d ban retries, %d shared successors, %d mismatched routes",
+		cov.calls, cov.strict, cov.found, cov.retries, cov.shared, cov.mismatched)
+}
+
+// TestNilCostNeedsState checks that strict pricing from the rows refuses
+// a floor that names no occupancy to take them from.
+func TestNilCostNeedsState(t *testing.T) {
+	g := mrrg.New(arch.New4x4(2), 2)
+	r := NewRouter(g, DefaultMaxLat(4, 4, 2))
+	defer func() {
+		if recover() == nil {
+			t.Fatal("FindPath with a nil CostFn and no floor State did not panic")
+		}
+	}()
+	r.FindPath(g.FU(0, 0), g.FU(1, 1), 1, nil, Flat(1))
 }
 
 // TestConeRowsMatchOracle checks the graph's cone rows against the
