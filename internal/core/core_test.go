@@ -136,7 +136,7 @@ func TestExtractPathMatchesRouteRules(t *testing.T) {
 	if !p.hasCycle(6, 2) {
 		t.Fatal("no tuple")
 	}
-	path := p.extractPath(6, 2)
+	path := p.extractPath(nil, 6, 2)
 	if err := f.sess.PlaceNode(1, 6, 2); err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestExtractPathBackward(t *testing.T) {
 	if !p.hasCycle(5, 2) { // producer on PE5, 2 cycles before d
 		t.Fatal("no tuple")
 	}
-	path := p.extractPath(5, 2)
+	path := p.extractPath(nil, 5, 2)
 	// Place node b on PE5 at time 2 (d executes at 4) and route b->d.
 	if err := f.sess.PlaceNode(1, 5, 2); err != nil {
 		t.Fatal(err)
@@ -348,6 +348,46 @@ func TestRejectedPlacementTrialAllocs(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, func() { gen.assign(0) }); allocs != 0 {
 		t.Fatalf("rejected placement trial allocates %.1f times, want 0", allocs)
+	}
+}
+
+// TestRejectedProbePathAllocs pins a rejected probe-path try at zero
+// allocations: the path is extracted into scratch and CanRoute turns it
+// down, so no path is allocated, no error formatted and nothing reserved
+// and rolled back. RouteEdge must reject the same path.
+func TestRejectedProbePathAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	f := diamondFixture(t, 3)
+	u := testCluster(f.g.NumNodes(), 1)
+	u.refreshOrder(f.am)
+	p := f.am.propagate(0, true, 6, f.am.snapshot())
+	// b goes on PE 6 at T 2: a's probe path to it is one link, which a
+	// foreign net takes after the flood.
+	if err := f.sess.PlaceNode(1, 6, 2); err != nil {
+		t.Fatal(err)
+	}
+	if !p.hasCycle(6, 2) {
+		t.Fatal("no tuple")
+	}
+	hop := p.extractPath(nil, 6, 2)
+	if err := f.sess.State.Reserve(hop[0], 99, 1); err != nil {
+		t.Fatal(err)
+	}
+	if f.sess.RouteEdge(0, hop) == nil {
+		t.Fatal("RouteEdge accepted a path through a foreign-held hop")
+	}
+	gen := &generator{a: f.am, u: u, scr: f.am.scratch()}
+	occupied := f.sess.State.CountOccupied()
+	if gen.routeProbe(0, p, 6, 2) {
+		t.Fatal("a probe path through a foreign-held hop was routed")
+	}
+	if f.sess.M.Routed(0) || f.sess.State.CountOccupied() != occupied {
+		t.Fatal("a rejected probe path changed the session")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { gen.routeProbe(0, p, 6, 2) }); allocs != 0 {
+		t.Fatalf("rejected probe-path try allocates %.1f times, want 0", allocs)
 	}
 }
 

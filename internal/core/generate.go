@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"rewire/internal/route"
 	"rewire/internal/trace"
 )
@@ -69,12 +71,13 @@ func (g *generator) assign(i int) bool {
 		return true
 	}
 	v := g.u.nodes[i]
+	cons := g.cycleConstraints(i, v)
 	for _, c := range g.cands[v] {
 		g.a.eff.PlacementsTried++
 		// CanPlace rejects an occupied FU or bank-port cycle without the
 		// error PlaceNode would format; for the unplaced cluster node it
 		// admits exactly the trials PlaceNode accepts.
-		if !g.admissible(i, v, c) || !g.a.sess.CanPlace(v, c.pe, c.T) || g.a.sess.PlaceNode(v, c.pe, c.T) != nil {
+		if !g.admissible(cons, c) || !g.a.sess.CanPlace(v, c.pe, c.T) || g.a.sess.PlaceNode(v, c.pe, c.T) != nil {
 			g.a.eff.PlacementsPruned++
 			continue
 		}
@@ -104,36 +107,62 @@ func (g *generator) assign(i int) bool {
 	return false
 }
 
+// cycleCons is one execution-cycle constraint between the cluster node
+// being assigned and an earlier chosen cluster node j: an in-cluster
+// edge of inter-iteration distance dist, with j as the producer (in) or
+// as the consumer.
+type cycleCons struct {
+	j, dist int
+	in      bool
+}
+
+// cycleConstraints lists the constraints of v, the i-th cluster node,
+// against the chosen nodes before it: one per edge whose other endpoint
+// comes earlier in the cluster order, in-edges first (v is not among
+// those nodes, so self recurrences drop out). They depend on the node only, so
+// assign builds them once per node instead of once per candidate. The
+// list is the depth-i scratch buffer: depth i's list must survive while
+// assign(i+1) builds its own.
+func (g *generator) cycleConstraints(i, v int) []cycleCons {
+	for len(g.scr.consBufs) <= i {
+		g.scr.consBufs = append(g.scr.consBufs, nil)
+	}
+	cons := g.scr.consBufs[i][:0]
+	if !g.a.opt.DisableCyclePruning {
+		for _, eid := range g.a.g.InEdges(v) {
+			e := g.a.g.Edges[eid]
+			if j := g.indexOf(e.From, i); j >= 0 {
+				cons = append(cons, cycleCons{j: j, dist: e.Dist, in: true})
+			}
+		}
+		for _, eid := range g.a.g.OutEdges(v) {
+			e := g.a.g.Edges[eid]
+			if j := g.indexOf(e.To, i); j >= 0 {
+				cons = append(cons, cycleCons{j: j, dist: e.Dist})
+			}
+		}
+	}
+	g.scr.consBufs[i] = cons
+	return cons
+}
+
 // admissible applies the cheap execution-cycle pruning of Algorithm 2
 // (lines 6-8) before any resources are touched: latency feasibility
-// against every already-chosen cluster node that v depends on. FU-slot
-// exclusivity needs no test here: the chosen nodes are placed in the
-// session, so CanPlace rejects a candidate on one's FU slot right after,
-// counted as pruned the same way.
-func (g *generator) admissible(i, v int, c pcand) bool {
-	if g.a.opt.DisableCyclePruning {
-		return true // ablation: let placement and routing reject instead
-	}
-	for _, eid := range g.a.g.InEdges(v) {
-		e := g.a.g.Edges[eid]
-		if e.From == v || !g.u.contains(e.From) {
-			continue
-		}
-		if j, ok := g.indexOf(e.From, i); ok {
-			if !g.latOK(g.chosen[j], c, e.Dist) {
+// against every already-chosen cluster node that v depends on. The
+// constraints come from cycleConstraints, built per recursion depth
+// (empty under DisableCyclePruning, the ablation that lets placement and
+// routing reject instead). FU-slot exclusivity needs no test here: the
+// chosen nodes are placed in the session, so CanPlace rejects a
+// candidate on one's FU slot right after, counted as pruned the same
+// way.
+func (g *generator) admissible(cons []cycleCons, c pcand) bool {
+	for _, k := range cons {
+		if k.in {
+			if !g.latOK(g.chosen[k.j], c, k.dist) {
 				return false
 			}
-		}
-	}
-	for _, eid := range g.a.g.OutEdges(v) {
-		e := g.a.g.Edges[eid]
-		if e.To == v || !g.u.contains(e.To) {
-			continue
-		}
-		if j, ok := g.indexOf(e.To, i); ok {
-			if !g.latOK(c, g.chosen[j], e.Dist) {
-				return false
-			}
+		} else if !g.latOK(c, g.chosen[k.j], k.dist) {
+			return false
 		}
 	}
 	return true
@@ -151,13 +180,15 @@ func (g *generator) latOK(from, to pcand, dist int) bool {
 	return lat >= g.a.router.NeedCycles(from.pe, to.pe)
 }
 
-func (g *generator) indexOf(v, limit int) (int, bool) {
+// indexOf returns v's position among the first limit cluster nodes, or
+// -1 if v is not one of them.
+func (g *generator) indexOf(v, limit int) int {
 	for j := 0; j < limit; j++ {
 		if g.u.nodes[j] == v {
-			return j, true
+			return j
 		}
 	}
-	return 0, false
+	return -1
 }
 
 // routeNode routes every edge of v whose other endpoint is placed,
@@ -213,22 +244,14 @@ func (g *generator) routeOne(eid int) bool {
 	// Fast path: a probe from the producer anchor already walked a route
 	// to the consumer's PE with exactly this cycle count.
 	if p := propOf(g.props, e.From, true); p != nil && !g.u.contains(e.From) && !a.opt.DisableTuplePaths {
-		toPE := a.sess.M.Place[e.To].PE
-		if p.hasCycle(toPE, lat) {
-			path := p.extractPath(toPE, lat)
-			if a.sess.RouteEdge(eid, path) == nil {
-				return true
-			}
+		if g.routeProbe(eid, p, a.sess.M.Place[e.To].PE, lat) {
+			return true
 		}
 	}
 	// Symmetric fast path for backward probes from a consumer anchor.
 	if p := propOf(g.props, e.To, false); p != nil && !g.u.contains(e.To) && !a.opt.DisableTuplePaths {
-		fromPE := a.sess.M.Place[e.From].PE
-		if p.hasCycle(fromPE, lat) {
-			path := p.extractPath(fromPE, lat)
-			if a.sess.RouteEdge(eid, path) == nil {
-				return true
-			}
+		if g.routeProbe(eid, p, a.sess.M.Place[e.From].PE, lat) {
+			return true
 		}
 	}
 	src := a.sess.Graph.FU(a.sess.M.Place[e.From].PE, a.sess.M.Place[e.From].Time)
@@ -238,4 +261,23 @@ func (g *generator) routeOne(eid int) bool {
 		return false
 	}
 	return a.sess.RouteEdge(eid, path) == nil
+}
+
+// routeProbe routes edge eid along p's probe path to PE q, if p has a
+// tuple there with exactly lat cycles and the session would accept the
+// path. The path is extracted into scratch and tested with CanRoute,
+// which accepts exactly what RouteEdge accepts without reserving or
+// formatting anything, so a rejected probe path costs no allocation,
+// error string or rollback. Only an accepted path is copied into the
+// fresh slice the session keeps, and RouteEdge still checks it.
+func (g *generator) routeProbe(eid int, p *propagation, q, lat int) bool {
+	if !p.hasCycle(q, lat) {
+		return false
+	}
+	path := p.extractPath(g.scr.probePath, q, lat)
+	g.scr.probePath = path
+	if !g.a.sess.CanRoute(eid, path) {
+		return false
+	}
+	return g.a.sess.RouteEdge(eid, slices.Clone(path)) == nil
 }

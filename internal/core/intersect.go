@@ -1,8 +1,6 @@
 package core
 
 import (
-	"slices"
-
 	"rewire/internal/placer"
 )
 
@@ -95,28 +93,68 @@ func (a *amender) candidatesFor(v int, u *cluster, props map[int]*propagation, c
 	// Algorithm 2 line 3: sort candidates by available execution cycle.
 	// PEs within one cycle are shuffled so concurrently-placed cluster
 	// nodes spread over the fabric instead of all contending for the
-	// lowest-numbered PE. The comparator is a strict total order over the
-	// unique (T, pe) pairs, so the (unstable) sort result is unique.
+	// lowest-numbered PE. The permutation is drawn here, for every call,
+	// because later draws of the shared RNG depend on it.
 	perm := a.scratch().perm(a.rng, numPEs)
-	slices.SortFunc(cands, func(x, y pcand) int {
-		if x.T != y.T {
-			if x.T < y.T {
-				return -1
-			}
-			return 1
-		}
-		if perm[x.pe] != perm[y.pe] {
-			if perm[x.pe] < perm[y.pe] {
-				return -1
-			}
-			return 1
-		}
-		return 0
-	})
+	a.scratch().sortCands(cands, perm)
 	if len(cands) > a.opt.MaxCandidatesPerNode {
 		cands = cands[:a.opt.MaxCandidatesPerNode]
 	}
 	return cands
+}
+
+// sortCands orders cands by execution cycle T, then by the PE's rank in
+// perm, with two stable counting passes: by rank into the staging list,
+// then by T back into cands. Both keys are small integers: ranks are
+// below len(perm) and T spans at most the propagation depth (or the
+// fallback schedule window). The (T, pe) pairs are unique and perm is a
+// permutation, so the order is total and the result is the one any
+// comparison sort by (T, perm[pe]) gives, element for element.
+func (s *amendScratch) sortCands(cands []pcand, perm []int) {
+	if len(cands) < 2 {
+		return
+	}
+	minT, maxT := cands[0].T, cands[0].T
+	for _, c := range cands[1:] {
+		minT, maxT = min(minT, c.T), max(maxT, c.T)
+	}
+	staged := resized(s.sortBuf, len(cands))
+	count := resized(s.countBuf, max(len(perm), maxT-minT+1))
+	// Pass 1, by rank: count, turn the counts into start offsets, place.
+	rank := count[:len(perm)]
+	clear(rank)
+	for _, c := range cands {
+		rank[perm[c.pe]]++
+	}
+	prefixOffsets(rank)
+	for _, c := range cands {
+		k := perm[c.pe]
+		staged[rank[k]] = c
+		rank[k]++
+	}
+	// Pass 2, by T, keeps the rank order within each cycle.
+	at := count[:maxT-minT+1]
+	clear(at)
+	for _, c := range staged {
+		at[c.T-minT]++
+	}
+	prefixOffsets(at)
+	for _, c := range staged {
+		k := c.T - minT
+		cands[at[k]] = c
+		at[k]++
+	}
+	s.sortBuf, s.countBuf = staged, count
+}
+
+// prefixOffsets turns per-key counts into each key's first output
+// position (an exclusive prefix sum), in place.
+func prefixOffsets(count []int) {
+	sum := 0
+	for k, n := range count {
+		count[k] = sum
+		sum += n
+	}
 }
 
 // sourceConstraints gathers v's forward (parent-side) and backward

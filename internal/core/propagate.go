@@ -433,10 +433,12 @@ func (p *propagation) growTree(depth int) {
 // lat-1 resources ordered by phase (path[i] is occupied at phase i+1
 // relative to the producer). It is the "reuse of wire information" fast
 // path — verification tries this chain before falling back to the
-// router. The tuple must exist (hasCycle).
-func (p *propagation) extractPath(q, lat int) []mrrg.Node {
+// router. The tuple must exist (hasCycle). The chain is written into
+// dst, reallocated only when its capacity is short, so verification
+// extracts into scratch and copies out only the chains it routes.
+func (p *propagation) extractPath(dst []mrrg.Node, q, lat int) []mrrg.Node {
 	if lat <= 1 {
-		return []mrrg.Node{}
+		return dst[:0]
 	}
 	d := lat - 1
 	if p.treeDepth < d {
@@ -444,7 +446,7 @@ func (p *propagation) extractPath(q, lat int) []mrrg.Node {
 	}
 	ns := p.g.NumSlots()
 	b := p.first[d*p.numPEs+q]
-	path := make([]mrrg.Node, d)
+	path := resized(dst, d)
 	// Walk from the tuple's end state back to the seed. Backward states
 	// count from the consumer: the state at depth e holds the resource at
 	// phase lat-e.

@@ -85,7 +85,7 @@ func comparePaths(t *testing.T, name string, p *propagation, want [][][]mrrg.Nod
 			if k%2 == 1 {
 				i = len(paths) - 1 - k/2
 			}
-			got := p.extractPath(q, cycles[i])
+			got := p.extractPath(nil, q, cycles[i])
 			if fmt.Sprint(got) != fmt.Sprint(paths[i]) {
 				t.Fatalf("%s PE %d cycles %d: path %v, reference %v", name, q, cycles[i], got, paths[i])
 			}

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
+
+	"rewire/internal/mrrg"
 )
 
 // amendScratch is the pooled per-amendment working memory: every buffer
@@ -46,8 +48,9 @@ type amendScratch struct {
 
 	// intersect: per-node candidate lists (candBufs[i] backs the i-th
 	// cluster node's pcands, all live simultaneously through generate),
-	// source-constraint buffers, sorted-time intersection buffers, and
-	// the candidate-spreading permutation.
+	// source-constraint buffers, sorted-time intersection buffers, the
+	// candidate-spreading permutation, and the counting sort's staging
+	// list and key counts.
 	cands    map[int][]pcand
 	candBufs [][]pcand
 	fwdBuf   []srcConstraint
@@ -55,18 +58,23 @@ type amendScratch struct {
 	timesA   []int
 	timesB   []int
 	permBuf  []int
+	sortBuf  []pcand
+	countBuf []int
 
 	// cluster growth.
 	queueBuf []int
 	tiedBuf  []int
 
 	// placement enumeration: the generator itself, the chosen-candidate
-	// vector, and one routed-edge buffer per recursion depth (a depth's
-	// routed list stays live while deeper levels enumerate, so one shared
-	// buffer would corrupt the backtracking unwind).
+	// vector, one routed-edge buffer and one cycle-constraint list per
+	// recursion depth (a depth's lists stay live while deeper levels
+	// enumerate, so one shared buffer would corrupt the backtracking
+	// unwind), and the probe path under test (routeProbe).
 	gen        generator
 	chosenBuf  []pcand
 	routedBufs [][]int
+	consBufs   [][]cycleCons
+	probePath  []mrrg.Node
 }
 
 var amendScratchPool = sync.Pool{New: func() any {

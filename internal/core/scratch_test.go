@@ -10,6 +10,7 @@ import (
 	"rewire/internal/arch"
 	"rewire/internal/kernels"
 	"rewire/internal/mapping"
+	"rewire/internal/mrrg"
 	"rewire/internal/route"
 	"rewire/internal/sweep"
 )
@@ -43,8 +44,10 @@ func mapDigest(t *testing.T, kernel string, seed int64) string {
 // TestDirtyPoolReuseDeterminism maps the same kernel before and after
 // the scratch pools have been dirtied by unrelated runs. Every pooled
 // buffer (amendScratch, propagations, flood scratch, MRRG state) is
-// handed back full of stale data; if any consumer reads a recycled
-// value before writing it, the second digest diverges.
+// handed back full of stale data, and the candidate sort, cycle
+// constraint and probe-path buffers are then poisoned outright; if any
+// consumer reads a recycled value before writing it, the second digest
+// diverges.
 func TestDirtyPoolReuseDeterminism(t *testing.T) {
 	base := mapDigest(t, "mvt", 7)
 	// Dirty the pools with differently-shaped work: another kernel and
@@ -52,9 +55,42 @@ func TestDirtyPoolReuseDeterminism(t *testing.T) {
 	// and candidate counts, leaving maximally-foreign residue behind.
 	mapDigest(t, "atax", 1)
 	mapDigest(t, "gesummv", 42)
+	poisonScratchPool(4)
 	if again := mapDigest(t, "mvt", 7); again != base {
 		t.Fatalf("dirty-pool rerun diverged:\n  first: %s\n  again: %s", base, again)
 	}
+}
+
+// poisonScratchPool draws n scratches from the pool, fills the
+// candidate sort's staging list and counts, every depth's cycle
+// constraints and the probe-path buffer with values no mapping produces,
+// and puts them back: a consumer that reads one of these buffers before
+// writing it sees garbage, not a plausible leftover.
+func poisonScratchPool(n int) {
+	var drawn []*amendScratch
+	for i := 0; i < n; i++ {
+		s := getAmendScratch(0)
+		s.sortBuf = filled(pcand{pe: -7, T: 1 << 40}, 512)
+		s.countBuf = filled(1<<30, 4096)
+		s.consBufs = s.consBufs[:0]
+		for d := 0; d < 32; d++ {
+			s.consBufs = append(s.consBufs, filled(cycleCons{j: 1 << 20, dist: -99, in: true}, 16))
+		}
+		s.probePath = filled(mrrg.Node(1<<30), 512)
+		drawn = append(drawn, s)
+	}
+	for _, s := range drawn {
+		amendScratchPool.Put(s)
+	}
+}
+
+// filled returns n copies of v.
+func filled[T any](v T, n int) []T {
+	s := make([]T, n)
+	for i := range s {
+		s[i] = v
+	}
+	return s
 }
 
 // TestConcurrentSessionsDeterministic hammers the pools from concurrent

@@ -135,3 +135,44 @@ func TestSummaryCountsOptimal(t *testing.T) {
 		t.Fatalf("summary counts wrong:\n%s", buf.String())
 	}
 }
+
+// TestSummaryRewireOnly checks the summary of an evaluation filtered to
+// Rewire (rewire-experiments -mapper rewire): the baselines that never
+// ran get no failure count and no comparison line.
+func TestSummaryRewireOnly(t *testing.T) {
+	r := fakeResults()
+	for k := range r.ByRun {
+		if !strings.HasPrefix(k, "Rewire|") {
+			delete(r.ByRun, k)
+		}
+	}
+	var buf bytes.Buffer
+	r.Summary(&buf)
+	want := "== Summary (paper §V-A / §V-B claims) ==\n" +
+		"combos: 47\n" +
+		"Rewire optimal: 47, optimal-or-near-optimal: 47 (paper: 38/47)\n" +
+		"Rewire   failed combos: 0\n" +
+		"Rewire Placement(U) verification success: 95.0% (paper: ~95%)\n\n"
+	if got := buf.String(); got != want {
+		t.Fatalf("Rewire-only summary:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestSummaryAllMappers pins the three-mapper summary text, which the
+// Rewire-only filtering must leave unchanged.
+func TestSummaryAllMappers(t *testing.T) {
+	var buf bytes.Buffer
+	fakeResults().Summary(&buf)
+	want := "== Summary (paper §V-A / §V-B claims) ==\n" +
+		"combos: 47\n" +
+		"Rewire optimal: 47, optimal-or-near-optimal: 47 (paper: 38/47)\n" +
+		"Rewire   failed combos: 0\n" +
+		"PF*      failed combos: 0\n" +
+		"SA       failed combos: 10\n" +
+		"Rewire vs PF*   performance speedup: 1.50x   compile-time reduction: 2.00x\n" +
+		"Rewire vs SA    performance speedup: 2.00x   compile-time reduction: 3.00x\n" +
+		"Rewire Placement(U) verification success: 95.0% (paper: ~95%)\n\n"
+	if got := buf.String(); got != want {
+		t.Fatalf("three-mapper summary:\n%s\nwant:\n%s", got, want)
+	}
+}
