@@ -414,7 +414,7 @@ func pfInitial(testing.TB) func(seed int64) {
 	mii := g.MII(a.NumPEs(), a.NumMemPEs(), a.BankPorts())
 	return func(seed int64) {
 		var eff stats.Effort
-		pathfinder.BuildInitial(mapping.New(g, a, mii), seed, &eff)
+		pathfinder.BuildInitialTraced(context.Background(), mapping.New(g, a, mii), seed, &eff, nil, nil)
 	}
 }
 

@@ -146,21 +146,6 @@ func (c *CGRA) Neighbor(pe int, d Dir) int {
 	return c.PEIndex(row, col)
 }
 
-// Manhattan returns the mesh hop distance between two PEs (ignoring Torus
-// shortcuts; it is used only as a heuristic placement cost).
-func (c *CGRA) Manhattan(a, b int) int {
-	ar, ac := c.PECoord(a)
-	br, bc := c.PECoord(b)
-	dr, dc := ar-br, ac-bc
-	if dr < 0 {
-		dr = -dr
-	}
-	if dc < 0 {
-		dc = -dc
-	}
-	return dr + dc
-}
-
 // String implements fmt.Stringer.
 func (c *CGRA) String() string {
 	return fmt.Sprintf("%s (%dx%d, %d regs/PE, %d banks, %d mem PEs)",

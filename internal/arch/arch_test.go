@@ -88,13 +88,6 @@ func TestNeighborTorus(t *testing.T) {
 	}
 }
 
-func TestManhattan(t *testing.T) {
-	c := New4x4(1)
-	if c.Manhattan(0, 15) != 6 || c.Manhattan(5, 5) != 0 || c.Manhattan(0, 3) != 3 {
-		t.Fatal("Manhattan distances wrong")
-	}
-}
-
 func TestDirString(t *testing.T) {
 	if North.String() != "N" || East.String() != "E" || South.String() != "S" || West.String() != "W" {
 		t.Fatal("direction names wrong")

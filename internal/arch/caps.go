@@ -92,15 +92,6 @@ func (c *CGRA) CountSupporting(cl OpClass) int {
 	return n
 }
 
-// SetCaps makes the architecture heterogeneous: the listed PEs get the
-// given mask. Call StripCaps first to initialise all PEs.
-func (c *CGRA) SetCaps(mask CapMask, pes ...int) {
-	c.ensureCaps()
-	for _, pe := range pes {
-		c.PECaps[pe] = mask
-	}
-}
-
 // StripClass removes one capability class from every PE except the
 // listed ones — e.g. StripClass(ClassMul, 0, 5, 10, 15) leaves
 // multipliers only on the diagonal.

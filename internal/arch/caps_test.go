@@ -36,17 +36,6 @@ func TestStripClass(t *testing.T) {
 	}
 }
 
-func TestSetCaps(t *testing.T) {
-	c := New4x4(2)
-	c.SetCaps(CapMask(0).With(ClassALU), 3)
-	if c.Supports(3, ClassMul) || !c.Supports(3, ClassALU) {
-		t.Fatalf("caps = %v", c.Caps(3))
-	}
-	if c.Caps(4) != AllCaps {
-		t.Fatal("SetCaps leaked to other PEs")
-	}
-}
-
 func TestCapMaskStrings(t *testing.T) {
 	if AllCaps.String() != "alu+mul+div+mem" {
 		t.Fatalf("AllCaps = %q", AllCaps.String())

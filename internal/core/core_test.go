@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -267,7 +268,7 @@ func TestAmendmentOnlyTouchesIllRegions(t *testing.T) {
 	a := arch.New4x4(4)
 	mii := g.MII(a.NumPEs(), a.NumMemPEs(), a.BankPorts())
 	var eff stats.Effort
-	sess, router := pathfinder.BuildInitial(mapping.New(g, a, mii+1), 5, &eff)
+	sess, router := pathfinder.BuildInitialTraced(context.Background(), mapping.New(g, a, mii+1), 5, &eff, nil, nil)
 	am := &amender{
 		g: g, sess: sess, router: router,
 		rng: rand.New(rand.NewSource(5)), eff: &eff,
@@ -379,11 +380,11 @@ func TestRejectedProbePathAllocs(t *testing.T) {
 		t.Fatal("RouteEdge accepted a path through a foreign-held hop")
 	}
 	gen := &generator{a: f.am, u: u, scr: f.am.scratch()}
-	occupied := f.sess.State.CountOccupied()
+	free := slices.Clone(f.sess.State.FreeRows())
 	if gen.routeProbe(0, p, 6, 2) {
 		t.Fatal("a probe path through a foreign-held hop was routed")
 	}
-	if f.sess.M.Routed(0) || f.sess.State.CountOccupied() != occupied {
+	if f.sess.M.Routed(0) || !slices.Equal(f.sess.State.FreeRows(), free) {
 		t.Fatal("a rejected probe path changed the session")
 	}
 	if allocs := testing.AllocsPerRun(100, func() { gen.routeProbe(0, p, 6, 2) }); allocs != 0 {

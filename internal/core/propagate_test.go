@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -21,7 +22,7 @@ func illAmender(t *testing.T, kernel string, a *arch.CGRA, seed int64) *amender 
 	g := kernels.MustLoad(kernel)
 	m := mapping.New(g, a, mapping.MII(g, a))
 	var eff stats.Effort
-	sess, router := pathfinder.BuildInitial(m, seed, &eff)
+	sess, router := pathfinder.BuildInitialTraced(context.Background(), m, seed, &eff, nil, nil)
 	return &amender{
 		g:      g,
 		sess:   sess,

@@ -252,12 +252,6 @@ func (r *Results) Get(mapper string, cb Combo) (stats.Result, bool) {
 	return res, ok
 }
 
-// RunAll executes every mapper on every combo, fanning the runs across
-// Config.Jobs workers.
-func RunAll(cfg Config) *Results {
-	return RunCombos(cfg, Combos())
-}
-
 // RunCombos executes every mapper on the given combos on a worker pool
 // of Config.Jobs goroutines. Each run constructs its own mapping state
 // (DFG, MRRG, router, RNG seeded from Config.Seed), so nothing mutable

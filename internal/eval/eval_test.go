@@ -2,6 +2,7 @@ package eval
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -155,6 +156,31 @@ func TestSummaryRewireOnly(t *testing.T) {
 		"Rewire Placement(U) verification success: 95.0% (paper: ~95%)\n\n"
 	if got := buf.String(); got != want {
 		t.Fatalf("Rewire-only summary:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestTable1RewireOnly checks that Table I prints "-" for the baselines
+// of an evaluation filtered to Rewire, not zero remap iterations, and
+// still prints every count when all three mappers ran.
+func TestTable1RewireOnly(t *testing.T) {
+	row := func(pf, sa, rw string) string {
+		return fmt.Sprintf("%-12s %6s %6s %14s\n", "atax", pf, sa, rw)
+	}
+	r := fakeResults()
+	var buf bytes.Buffer
+	r.Table1(&buf)
+	if want := row("100", "200", "0"); strings.Count(buf.String(), want) != 2 {
+		t.Fatalf("three-mapper Table I lacks %q on both fabrics:\n%s", want, buf.String())
+	}
+	for k := range r.ByRun {
+		if !strings.HasPrefix(k, "Rewire|") {
+			delete(r.ByRun, k)
+		}
+	}
+	buf.Reset()
+	r.Table1(&buf)
+	if want := row("-", "-", "0"); strings.Count(buf.String(), want) != 2 {
+		t.Fatalf("Rewire-only Table I lacks %q on both fabrics:\n%s", want, buf.String())
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strconv"
 	"time"
 
 	"rewire/internal/arch"
@@ -68,6 +69,7 @@ func (r *Results) Figure6(w io.Writer) {
 // Table1 prints the single-node remapping iteration counts for PF* and
 // SA on the 4x4 CGRAs with one and four registers per PE (Rewire has no
 // single-node remapping; its cluster amendments are shown for context).
+// A mapper that never ran prints "-", as in Figures 5 and 6.
 func (r *Results) Table1(w io.Writer) {
 	fmt.Fprintln(w, "== Table I: single-node remapping iterations (and Rewire cluster amendments) ==")
 	for _, name := range []string{"4x4r1", "4x4r4"} {
@@ -81,14 +83,23 @@ func (r *Results) Table1(w io.Writer) {
 			if name == "4x4r4" && !inTable1Set(cb.Kernel) {
 				continue
 			}
-			pf, _ := r.Get("PF*", cb)
-			saRes, _ := r.Get("SA", cb)
-			rw, _ := r.Get("Rewire", cb)
-			fmt.Fprintf(w, "%-12s %6d %6d %14d\n",
-				cb.Kernel, pf.RemapIterations, saRes.RemapIterations, rw.ClusterAmendments)
+			pf, pfOK := r.Get("PF*", cb)
+			saRes, saOK := r.Get("SA", cb)
+			rw, rwOK := r.Get("Rewire", cb)
+			fmt.Fprintf(w, "%-12s %6s %6s %14s\n", cb.Kernel,
+				countCell(pf.RemapIterations, pfOK), countCell(saRes.RemapIterations, saOK),
+				countCell(rw.ClusterAmendments, rwOK))
 		}
 	}
 	fmt.Fprintln(w)
+}
+
+// countCell renders a Table I count, "-" for a mapper that never ran.
+func countCell(n int, ok bool) string {
+	if !ok {
+		return "-"
+	}
+	return strconv.Itoa(n)
 }
 
 // archByName finds an architecture in the result set, nil when the

@@ -65,21 +65,6 @@ func (m *Mapping) Placed(v int) bool { return m.Place[v].PE >= 0 }
 // Routed reports whether edge e has a route.
 func (m *Mapping) Routed(e int) bool { return m.Routes[e] != nil }
 
-// Complete reports whether every node is placed and every edge routed.
-func (m *Mapping) Complete() bool {
-	for v := range m.Place {
-		if !m.Placed(v) {
-			return false
-		}
-	}
-	for e := range m.Routes {
-		if !m.Routed(e) {
-			return false
-		}
-	}
-	return true
-}
-
 // Latency returns the cycles the value of edge e spends in flight:
 // consumerTime - producerTime + distance*II. Both endpoints must be
 // placed. A valid mapping has Latency >= 1 for every edge.

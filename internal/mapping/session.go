@@ -46,13 +46,6 @@ func (s *Session) Close() {
 	}
 }
 
-// Fork returns an independent snapshot of the session: the mapping and
-// occupancy are deep-copied, the immutable MRRG is shared. Mappers use
-// forks to roll back failed amendment attempts.
-func (s *Session) Fork() *Session {
-	return &Session{M: s.M.Clone(), Graph: s.Graph, State: s.State.Clone()}
-}
-
 // CanPlace reports whether node v could be placed on pe at absolute time
 // T with the current occupancy (FU free or held by v's own net, memory
 // capability, bank port availability). It does not consider routing.
@@ -370,16 +363,6 @@ func Restore(m *Mapping) (*Session, error) {
 		}
 	}
 	return s, nil
-}
-
-// sortInts is a tiny insertion sort to avoid importing sort for hot small
-// slices.
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }
 
 // Validate independently checks a finished mapping: every node placed on

@@ -125,12 +125,8 @@ func appendArchFingerprint(dst []byte, c *arch.CGRA) []byte {
 	return dst
 }
 
-// archFingerprint is the Shared cache key: the architecture identity
+// appendArchKey appends the Shared cache key: the architecture identity
 // plus the II the graph is time-extended to.
-func archFingerprint(c *arch.CGRA, ii int) string {
-	return string(appendArchKey(nil, c, ii))
-}
-
 func appendArchKey(dst []byte, c *arch.CGRA, ii int) []byte {
 	dst = appendArchFingerprint(dst, c)
 	dst = append(dst, "|ii"...)

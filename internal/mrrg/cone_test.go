@@ -22,8 +22,10 @@ func TestConeRowsConcurrent(t *testing.T) {
 	hops := make([][]uint16, a.NumPEs())
 	for dst := range hops {
 		hops[dst] = make([]uint16, a.NumPEs())
+		dr, dc := a.PECoord(dst)
 		for p := range hops[dst] {
-			hops[dst][p] = uint16(a.Manhattan(p, dst))
+			pr, pc := a.PECoord(p)
+			hops[dst][p] = uint16(max(pr-dr, dr-pr) + max(pc-dc, dc-pc))
 		}
 	}
 	const workers = 4

@@ -23,6 +23,18 @@ func scanFreeRows(s *State) []uint64 {
 	return free
 }
 
+// Clone returns an independent copy of the occupancy, drawing its
+// buffers from the graph's pool like NewState (the static graph is
+// shared).
+func (s *State) Clone() *State {
+	c := s.G.blankState()
+	copy(c.occ, s.occ)
+	copy(c.phase, s.phase)
+	copy(c.ref, s.ref)
+	copy(c.free, s.free)
+	return c
+}
+
 // TestFreeRowsMatchScan drives random sequences of Reserve and Release,
 // ReservePath with and without rollback, Clone and Recycle followed by
 // NewState over every preset, a torus and an ADL fabric at II 1-4, and

@@ -39,8 +39,8 @@ type State struct {
 	// State so hot loops (route-path validity checks, flood dedup) can
 	// test-and-set node membership without allocating a map per call. A
 	// node is in the current set iff mark[n] == markEpoch; MarkBegin
-	// starts a fresh empty set in O(1). Not copied by Clone and never
-	// observable in mapping results.
+	// starts a fresh empty set in O(1). Never observable in mapping
+	// results.
 	mark      []int32
 	markEpoch int32
 }
@@ -92,19 +92,8 @@ func NewState(g *Graph) *State {
 	return s
 }
 
-// Clone returns an independent copy of the occupancy (the static graph is
-// shared). Rewire uses clones to trial-route candidate placements.
-func (s *State) Clone() *State {
-	c := s.G.blankState()
-	copy(c.occ, s.occ)
-	copy(c.phase, s.phase)
-	copy(c.ref, s.ref)
-	copy(c.free, s.free)
-	return c
-}
-
 // Recycle returns s's buffers to its graph's pool for reuse by a later
-// NewState or Clone. The caller must not touch s afterwards; sessions
+// NewState. The caller must not touch s afterwards; sessions
 // call this through mapping.Session.Close when they are done.
 func (s *State) Recycle() {
 	if s == nil || s.G == nil {
@@ -244,16 +233,4 @@ func (s *State) FreeBankPort(t int) Node {
 		}
 	}
 	return Invalid
-}
-
-// CountOccupied returns how many resources are currently held; used by
-// tests and congestion metrics.
-func (s *State) CountOccupied() int {
-	n := 0
-	for _, o := range s.occ {
-		if o != NoNet {
-			n++
-		}
-	}
-	return n
 }

@@ -126,20 +126,15 @@ func finalize(m *mapping.Mapping) {
 	}
 }
 
-// BuildInitial runs only the initial-placement phase at the mapping's II
-// and returns the (typically partial/ill) session and the router. Rewire
-// amends this mapping, so a narrow candidate beam suffices: amendment
-// only needs a rough starting point, not PF*'s exhaustive per-node
-// candidate evaluation.
-func BuildInitial(m *mapping.Mapping, seed int64, eff *stats.Effort) (*mapping.Session, *route.Router) {
-	return BuildInitialTraced(context.Background(), m, seed, eff, nil, nil)
-}
-
-// BuildInitialTraced is BuildInitial with cancellation and the
-// initial-mapping phase recorded under parent: an initial_mapping span
-// wrapping mrrg_build and initial_placement child spans. A nil tracer
-// is the untraced path; a cancelled ctx stops the placement early and
-// returns the partial session.
+// BuildInitialTraced runs only the initial-placement phase at the
+// mapping's II and returns the (typically partial/ill) session and the
+// router. Rewire amends this mapping, so a narrow candidate beam
+// suffices: amendment only needs a rough starting point, not PF*'s
+// exhaustive per-node candidate evaluation. The phase is recorded under
+// parent: an initial_mapping span wrapping mrrg_build and
+// initial_placement child spans. A nil tracer is the untraced path; a
+// cancelled ctx stops the placement early and returns the partial
+// session.
 func BuildInitialTraced(ctx context.Context, m *mapping.Mapping, seed int64, eff *stats.Effort, tr *trace.Tracer, parent *trace.Span) (*mapping.Session, *route.Router) {
 	rng := rand.New(rand.NewSource(seed))
 	sp := tr.StartSpan(parent, "initial_mapping").WithInt("seed", seed)

@@ -1,6 +1,7 @@
 package pathfinder
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"time"
@@ -68,7 +69,7 @@ func TestBuildInitialPlacesMostNodes(t *testing.T) {
 	a := arch.New4x4(4)
 	mii := g.MII(a.NumPEs(), a.NumMemPEs(), a.BankPorts())
 	var eff stats.Effort
-	sess, router := BuildInitial(mapping.New(g, a, mii+1), 1, &eff)
+	sess, router := BuildInitialTraced(context.Background(), mapping.New(g, a, mii+1), 1, &eff, nil, nil)
 	if router == nil {
 		t.Fatal("no router")
 	}

@@ -143,10 +143,6 @@ func (r *Report) RoutingOverhead() float64 {
 	return routing / r.Energy
 }
 
-// EnergyPerIteration returns the total normalised energy per loop
-// iteration.
-func (r *Report) EnergyPerIteration() float64 { return r.Energy }
-
 // String renders the report.
 func (r *Report) String() string {
 	var b strings.Builder

@@ -10,7 +10,7 @@ import (
 )
 
 // TestTorusWrapNotOverPruned is the regression test for the Manhattan
-// over-prune bug: arch.Manhattan deliberately ignores wrap links, so the
+// over-prune bug: a Manhattan-distance bound ignores wrap links, so the
 // old Manhattan-based feasibility prune rejected exact-latency states
 // that a torus wrap link makes reachable. The oracle-based prune must
 // keep them.
@@ -21,9 +21,9 @@ func TestTorusWrapNotOverPruned(t *testing.T) {
 	r := NewRouter(g, DefaultMaxLat(4, 4, 4))
 
 	// Premise of the regression: PE 0 -> PE 3 is one west wrap hop, but
-	// Manhattan says three mesh hops, so the old prune rejected lat 2.
-	if a.Manhattan(0, 3)+1 <= 2 {
-		t.Fatal("premise broken: Manhattan no longer over-estimates the wrap pair")
+	// three mesh hops along row 0, so the old prune rejected lat 2.
+	if r, c := a.PECoord(3); r != 0 || c != 3 {
+		t.Fatal("premise broken: PE 3 is no longer three mesh hops from PE 0")
 	}
 	if got := r.NeedCycles(0, 3); got != 2 {
 		t.Fatalf("NeedCycles(0,3) on torus = %d, want 2 (one wrap hop + FU entry)", got)

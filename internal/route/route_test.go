@@ -160,35 +160,6 @@ func TestEdgeHelperRoutesAndCommits(t *testing.T) {
 	}
 }
 
-func TestNodeEdgesRollsBackOnFailure(t *testing.T) {
-	// v has two parents; make the second unroutable and check the first
-	// edge's resources are released.
-	g := dfg.New("fan")
-	p1 := g.AddNode("p1", dfg.OpAdd)
-	p2 := g.AddNode("p2", dfg.OpAdd)
-	v := g.AddNode("v", dfg.OpAdd)
-	g.AddEdge(p1, v, 0)
-	g.AddEdge(p2, v, 0)
-	s, r := sess(t, g, arch.New4x4(1), 2)
-	if err := s.PlaceNode(p1, 1, 1); err != nil {
-		t.Fatal(err)
-	}
-	// p2 far away with impossible timing: latency 1 from PE 15 to PE 2.
-	if err := s.PlaceNode(p2, 15, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.PlaceNode(v, 2, 2); err != nil {
-		t.Fatal(err)
-	}
-	before := s.State.CountOccupied()
-	if err := NodeEdges(s, r, v); err == nil {
-		t.Fatal("expected failure")
-	}
-	if got := s.State.CountOccupied(); got != before {
-		t.Fatalf("rollback leaked: %d -> %d reservations", before, got)
-	}
-}
-
 // Property: any path FindPath returns passes the session's structural
 // validator and reserves cleanly, for random placements.
 func TestPropFoundPathsAlwaysValid(t *testing.T) {

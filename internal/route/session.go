@@ -57,41 +57,3 @@ func Edge(s *mapping.Session, r *Router, e int) error {
 	}
 	return s.RouteEdge(e, path)
 }
-
-// NodeEdges strictly routes every edge of v whose other endpoint is
-// placed, committing the routes; on the first failure it rips the routes
-// it just made and reports the failing edge.
-func NodeEdges(s *mapping.Session, r *Router, v int) error {
-	var done []int
-	tryAll := func(edges []int) error {
-		for _, eid := range edges {
-			ed := s.M.DFG.Edges[eid]
-			other := ed.From
-			if other == v {
-				other = ed.To
-			}
-			if ed.From == v && ed.To == v {
-				other = v // distance-1 self edge (single-node recurrence)
-			}
-			if !s.M.Placed(other) || s.M.Routed(eid) {
-				continue
-			}
-			if err := Edge(s, r, eid); err != nil {
-				return err
-			}
-			done = append(done, eid)
-		}
-		return nil
-	}
-	err := tryAll(s.M.DFG.InEdges(v))
-	if err == nil {
-		err = tryAll(s.M.DFG.OutEdges(v))
-	}
-	if err != nil {
-		for _, eid := range done {
-			s.UnrouteEdge(eid)
-		}
-		return err
-	}
-	return nil
-}

@@ -165,15 +165,6 @@ func (r Result) Optimal() bool { return r.Success && r.II == r.MII }
 // paper's "near-optimal" criterion includes optimal).
 func (r Result) NearOptimal() bool { return r.Success && r.II-r.MII <= 1 }
 
-// VerifyRate returns the Placement(U) verification success rate in
-// [0,1], or 0 when nothing was verified.
-func (r Result) VerifyRate() float64 {
-	if r.VerifyAttempts == 0 {
-		return 0
-	}
-	return float64(r.VerifySuccesses) / float64(r.VerifyAttempts)
-}
-
 // String gives a compact one-line summary.
 func (r Result) String() string {
 	status := fmt.Sprintf("II=%d (MII=%d)", r.II, r.MII)

@@ -26,18 +26,6 @@ func TestOptimalAndNearOptimal(t *testing.T) {
 	}
 }
 
-func TestVerifyRate(t *testing.T) {
-	r := Result{}
-	if r.VerifyRate() != 0 {
-		t.Fatal("empty rate should be 0")
-	}
-	r.VerifyAttempts = 20
-	r.VerifySuccesses = 19
-	if got := r.VerifyRate(); got != 0.95 {
-		t.Fatalf("rate = %v, want 0.95", got)
-	}
-}
-
 func TestStringFormats(t *testing.T) {
 	r := Result{Mapper: "Rewire", Kernel: "fft", Arch: "4x4r4", Success: true, II: 4, MII: 3,
 		Duration: 12 * time.Millisecond, Effort: Effort{ClusterAmendments: 7}}

@@ -19,7 +19,6 @@
 package trace
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -371,24 +370,4 @@ func (t *Tracer) Spans() []SpanRecord {
 	out := make([]SpanRecord, len(t.spans))
 	copy(out, t.spans)
 	return out
-}
-
-// sortedCounterNames returns counter names in deterministic order.
-func (t *Tracer) sortedCounterNames() []string {
-	names := make([]string, 0, len(t.counters))
-	for n := range t.counters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// sortedHistNames returns histogram names in deterministic order.
-func (t *Tracer) sortedHistNames() []string {
-	names := make([]string, 0, len(t.hists))
-	for n := range t.hists {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -1,9 +1,8 @@
 package viz
 
 // The QoR dashboard: renders a ledger snapshot — every recorded run,
-// grouped by (kernel, arch, mapper) — as readable ASCII and as a
-// self-contained HTML page. Served live by rewire-serve at /qor.html
-// and printable offline from any ledger file.
+// grouped by (kernel, arch, mapper) — as a self-contained HTML page.
+// Served live by rewire-serve at /qor.html.
 
 import (
 	"fmt"
@@ -14,65 +13,10 @@ import (
 	"rewire/internal/ledger"
 )
 
-// RenderQoR renders the QoR dashboard as ASCII: a per-group quality
-// table with II-over-time sparklines, a compile-time trend table, and
-// the pairwise mapper win-rate matrix. Safe on an empty snapshot.
-func RenderQoR(entries []ledger.Entry) string {
-	var b strings.Builder
-	groups := ledger.Aggregate(entries)
-	fmt.Fprintf(&b, "QoR dashboard: %d runs in %d groups\n", len(entries), len(groups))
-	if len(groups) == 0 {
-		b.WriteString("  (ledger is empty)\n")
-		return b.String()
-	}
-
-	b.WriteString("\nmapping quality (per kernel@arch and mapper):\n")
-	fmt.Fprintf(&b, "  %-22s %-10s %5s %5s %6s %4s %-15s %s\n",
-		"combo", "mapper", "runs", "ok%", "bestII", "MII", "winner", "II over time")
-	for _, g := range groups {
-		best := "-"
-		if g.BestII > 0 {
-			best = fmt.Sprintf("%d", g.BestII)
-		}
-		fmt.Fprintf(&b, "  %-22s %-10s %5d %4.0f%% %6s %4d %-15s %s\n",
-			g.Kernel+"@"+g.Arch, g.Mapper, g.Runs, 100*g.SuccessRate(), best, g.MII,
-			winnerCell(g), Sparkline(g.IIs))
-	}
-
-	b.WriteString("\ncompile-time trend (non-cached runs):\n")
-	fmt.Fprintf(&b, "  %-22s %-10s %5s %10s %10s  %s\n",
-		"combo", "mapper", "runs", "median ms", "last ms", "trend")
-	for _, g := range groups {
-		if len(g.CompileMS) == 0 {
-			continue
-		}
-		fmt.Fprintf(&b, "  %-22s %-10s %5d %10.1f %10.1f  %s\n",
-			g.Kernel+"@"+g.Arch, g.Mapper, len(g.CompileMS),
-			ledger.Median(g.CompileMS), g.CompileMS[len(g.CompileMS)-1],
-			Sparkline(msSeries(g.CompileMS)))
-	}
-
-	mappers, wins, comp := winMatrix(groups)
-	if len(mappers) > 1 {
-		b.WriteString("\nmapper win rate (row beats column on best II per combo):\n")
-		fmt.Fprintf(&b, "  %-12s", "")
-		for _, m := range mappers {
-			fmt.Fprintf(&b, " %10s", m)
-		}
-		b.WriteByte('\n')
-		for i, m := range mappers {
-			fmt.Fprintf(&b, "  %-12s", m)
-			for j := range mappers {
-				b.WriteString(" " + winCell(i, j, wins, comp))
-			}
-			b.WriteByte('\n')
-		}
-	}
-	return b.String()
-}
-
-// RenderQoRHTML renders the same dashboard as a self-contained HTML
-// page.
+// RenderQoRHTML renders the QoR dashboard as a self-contained HTML page:
+// a per-group quality table with II-over-time sparklines, a
+// compile-time trend table, and the pairwise mapper win-rate matrix.
+// Safe on an empty snapshot.
 func RenderQoRHTML(entries []ledger.Entry) string {
 	var b strings.Builder
 	b.WriteString("<!DOCTYPE html>\n<html><head><meta charset=\"utf-8\">\n")
@@ -216,7 +160,7 @@ func winMatrix(groups []ledger.Group) (mappers []string, wins, comp [][]int) {
 // "-" on the diagonal or with nothing to compare.
 func winCell(i, j int, wins, comp [][]int) string {
 	if i == j || comp[i][j] == 0 {
-		return fmt.Sprintf("%10s", "-")
+		return "-"
 	}
-	return fmt.Sprintf("%10s", fmt.Sprintf("%d/%d", wins[i][j], comp[i][j]))
+	return fmt.Sprintf("%d/%d", wins[i][j], comp[i][j])
 }

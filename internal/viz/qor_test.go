@@ -23,18 +23,19 @@ func qorEntries() []ledger.Entry {
 	}
 }
 
+// TestRenderQoR checks the dashboard's sections on a five-run ledger.
 func TestRenderQoR(t *testing.T) {
-	out := RenderQoR(qorEntries())
+	out := RenderQoRHTML(qorEntries())
 	for _, want := range []string{
 		"5 runs in 4 groups",
 		"mvt@4x4r4", "atax@4x4r4",
 		"mapping quality", "compile-time trend", "win rate",
 		// rewire beats pathfinder on both combos (lower best II on mvt,
 		// success-vs-failure on atax).
-		"2/2",
+		">2/2<",
 	} {
 		if !strings.Contains(out, want) {
-			t.Errorf("ASCII dashboard misses %q:\n%s", want, out)
+			t.Errorf("dashboard misses %q:\n%s", want, out)
 		}
 	}
 	// The II series for mvt/rewire has two points: the sparkline must
@@ -46,13 +47,8 @@ func TestRenderQoR(t *testing.T) {
 
 func TestRenderQoRHTML(t *testing.T) {
 	out := RenderQoRHTML(qorEntries())
-	for _, want := range []string{
-		"<!DOCTYPE html>", "QoR dashboard",
-		"mvt@4x4r4", "win rate", "2/2",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("HTML dashboard misses %q", want)
-		}
+	if !strings.HasPrefix(out, "<!DOCTYPE html>") || !strings.Contains(out, "QoR dashboard") {
+		t.Errorf("HTML dashboard has no page header:\n%s", out)
 	}
 	// Kernel names are user input on the serve path: they must be
 	// escaped.
@@ -63,10 +59,8 @@ func TestRenderQoRHTML(t *testing.T) {
 }
 
 func TestRenderQoREmpty(t *testing.T) {
-	if out := RenderQoR(nil); !strings.Contains(out, "empty") {
-		t.Errorf("empty ASCII dashboard: %q", out)
-	}
-	if out := RenderQoRHTML(nil); !strings.Contains(out, "empty") {
-		t.Errorf("empty HTML dashboard: %q", out)
+	out := RenderQoRHTML(nil)
+	if !strings.Contains(out, "0 runs in 0 groups") || !strings.Contains(out, "ledger is empty") {
+		t.Errorf("empty dashboard: %q", out)
 	}
 }

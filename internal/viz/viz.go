@@ -1,6 +1,7 @@
-// Package viz renders mappings and resource graphs for humans: per-cycle
-// ASCII grids of the PE array showing which operation executes where, a
-// resource-utilisation summary, and Graphviz dumps of the MRRG.
+// Package viz renders mappings, post-mortem reports and the ledger for
+// humans: per-cycle ASCII grids of the PE array showing which operation
+// executes where, a resource-utilisation summary, a route table, the
+// failure report with its pressure heatmap, and the QoR dashboard.
 package viz
 
 import (
@@ -112,30 +113,4 @@ func RouteTable(m *mapping.Mapping) (string, error) {
 		b.WriteByte('\n')
 	}
 	return b.String(), nil
-}
-
-// MRRGDot renders the static MRRG adjacency in Graphviz dot syntax
-// (valid nodes only). Intended for tiny fabrics; a 4x4 II=4 graph is
-// already large.
-func MRRGDot(g *mrrg.Graph) string {
-	var b strings.Builder
-	b.WriteString("digraph mrrg {\n  rankdir=LR;\n")
-	for n := 0; n < g.NumNodes(); n++ {
-		nd := mrrg.Node(n)
-		if !g.Valid(nd) || g.Kind(nd) == mrrg.KindBank {
-			continue
-		}
-		fmt.Fprintf(&b, "  n%d [label=%q];\n", n, g.String(nd))
-	}
-	for n := 0; n < g.NumNodes(); n++ {
-		nd := mrrg.Node(n)
-		if !g.Valid(nd) {
-			continue
-		}
-		for _, s := range g.Succs(nd) {
-			fmt.Fprintf(&b, "  n%d -> n%d;\n", n, int(s))
-		}
-	}
-	b.WriteString("}\n")
-	return b.String()
 }

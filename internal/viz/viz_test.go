@@ -101,14 +101,3 @@ func TestRouteTable(t *testing.T) {
 		t.Fatalf("unrouted edge not flagged:\n%s", rt2)
 	}
 }
-
-func TestMRRGDot(t *testing.T) {
-	g := mrrg.New(arch.New("t", 2, 2, 1, 1, 0), 1)
-	dot := MRRGDot(g)
-	if !strings.HasPrefix(dot, "digraph mrrg") || !strings.Contains(dot, "fu(pe0)@0") {
-		t.Fatalf("dot malformed:\n%.200s", dot)
-	}
-	if strings.Contains(dot, "bank(") {
-		t.Fatal("bank ports should not be rendered")
-	}
-}

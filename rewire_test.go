@@ -158,7 +158,7 @@ func TestFacadeConfigSimulateEnergy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.EnergyPerIteration() <= 0 {
+	if rep.Energy <= 0 {
 		t.Fatal("no energy estimated")
 	}
 }
