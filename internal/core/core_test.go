@@ -341,6 +341,7 @@ func TestRejectedPlacementTrialAllocs(t *testing.T) {
 		budget: &budget,
 		scr:    f.am.scratch(),
 	}
+	gen.buildConstraints()
 	if gen.assign(0) {
 		t.Fatal("a trial on an occupied FU was accepted")
 	}
@@ -349,6 +350,46 @@ func TestRejectedPlacementTrialAllocs(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, func() { gen.assign(0) }); allocs != 0 {
 		t.Fatalf("rejected placement trial allocates %.1f times, want 0", allocs)
+	}
+}
+
+// TestForwardRejectedTrialAllocs pins a forward-rejected placement
+// trial at zero allocations: b places and is charged, but every
+// candidate of c, the next cluster node, sits on a's FU slot, so assign
+// unplaces b again without routing anything.
+func TestForwardRejectedTrialAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	f := diamondFixture(t, 3)
+	u := testCluster(f.g.NumNodes(), 1, 2)
+	u.refreshOrder(f.am)
+	budget := 10
+	gen := &generator{
+		a: f.am,
+		u: u,
+		cands: map[int][]pcand{
+			1: {{pe: 9, T: 1}, {pe: 10, T: 2}},
+			2: {{pe: 5, T: 0}, {pe: 5, T: 3}},
+		},
+		chosen: make([]pcand, 2),
+		budget: &budget,
+		scr:    f.am.scratch(),
+	}
+	gen.buildConstraints()
+	if gen.assign(0) {
+		t.Fatal("a cluster whose last node has no free slot was placed")
+	}
+	e := f.am.eff
+	if e.ForwardRejected != 2 || e.VerifyAttempts != 0 || e.PlacementsPruned != 0 || budget != 8 {
+		t.Fatalf("forward-rejected %d, routed %d, pruned %d with budget %d left, want 2, 0, 0 and 8",
+			e.ForwardRejected, e.VerifyAttempts, e.PlacementsPruned, budget)
+	}
+	if f.sess.M.Placed(1) || f.sess.M.Placed(2) {
+		t.Fatal("a forward-rejected trial stayed placed")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { budget = 10; gen.assign(0) }); allocs != 0 {
+		t.Fatalf("forward-rejected trial allocates %.1f times, want 0", allocs)
 	}
 }
 
@@ -419,6 +460,7 @@ func TestFUSlotConflictPrunedWithoutVerify(t *testing.T) {
 			budget: &budget,
 			scr:    f.am.scratch(),
 		}
+		gen.buildConstraints()
 		if !gen.assign(0) {
 			t.Fatalf("DisableCyclePruning=%v: the cluster did not place", disable)
 		}

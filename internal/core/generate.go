@@ -10,12 +10,14 @@ import (
 // generate implements Algorithm 2: build Placement(U) by assigning
 // candidates to cluster nodes in topological order, pruning with
 // execution-cycle data-dependency constraints against already-chosen
-// nodes, and verifying through routing. Verification is incremental
-// (forward checking): as soon as a node is tentatively placed, every
-// edge to an already-placed endpoint — mapped anchors and earlier
-// cluster nodes — is routed, reusing the propagation probe paths where
-// possible; a node whose edges cannot route is rejected on the spot
-// instead of poisoning a full Placement(U). The first complete verified
+// nodes, and verifying through routing. Verification is incremental: as
+// soon as a node is tentatively placed, every edge to an already-placed
+// endpoint — mapped anchors and earlier cluster nodes — is routed,
+// reusing the propagation probe paths where possible, and a node whose
+// edges cannot route is rejected on the spot instead of poisoning a
+// full Placement(U). Before routing, a one-step look-ahead (forward
+// checking) rejects a trial that leaves the next cluster node without
+// an admissible candidate (see assign). The first complete verified
 // placement is committed.
 func (a *amender) generate(u *cluster, cands map[int][]pcand, props map[int]*propagation, budget *int) bool {
 	gs := a.tr.StartSpan(a.cur, "placement_enum").WithInt("budget", int64(*budget))
@@ -43,6 +45,7 @@ func (a *amender) generate(u *cluster, cands map[int][]pcand, props map[int]*pro
 		span:   gs,
 		scr:    scr,
 	}
+	gen.buildConstraints()
 	ok := gen.assign(0)
 	gs.WithBool("ok", ok).End()
 	return ok
@@ -54,6 +57,7 @@ type generator struct {
 	cands  map[int][]pcand
 	props  map[int]*propagation
 	chosen []pcand
+	cons   [][]cycleCons // cons[i]: node i's constraints against nodes 0..i-1
 	budget *int
 	span   *trace.Span   // the placement_enum span; parent of verify spans
 	scr    *amendScratch // owns the per-depth routed-edge buffers
@@ -63,6 +67,14 @@ type generator struct {
 // index-vector iteration of Algorithm 2, realised as backtracking with
 // incremental routing verification). The amortised pacer check is also
 // where a cancelled speculative II attempt bails out of the enumeration.
+//
+// A placed trial is charged to the budget, then forward-checked: if the
+// next cluster node has no candidate left that is admissible against
+// chosen[0..i] and placeable, the trial is unplaced without routing.
+// This is exact. Routing only adds occupancy and CanPlace is monotone in
+// it, so without the check the trial would route, find no candidate in
+// assign(i+1) without charging anything there, and backtrack: the
+// budget sequence, and so every mapping, is the same either way.
 func (g *generator) assign(i int) bool {
 	if *g.budget <= 0 || g.a.pace.Expired() {
 		return false
@@ -71,37 +83,56 @@ func (g *generator) assign(i int) bool {
 		return true
 	}
 	v := g.u.nodes[i]
-	cons := g.cycleConstraints(i, v)
 	for _, c := range g.cands[v] {
 		g.a.eff.PlacementsTried++
 		// CanPlace rejects an occupied FU or bank-port cycle without the
 		// error PlaceNode would format; for the unplaced cluster node it
 		// admits exactly the trials PlaceNode accepts.
-		if !g.admissible(cons, c) || !g.a.sess.CanPlace(v, c.pe, c.T) || g.a.sess.PlaceNode(v, c.pe, c.T) != nil {
+		if !g.admissible(g.cons[i], c) || !g.a.sess.CanPlace(v, c.pe, c.T) || g.a.sess.PlaceNode(v, c.pe, c.T) != nil {
 			g.a.eff.PlacementsPruned++
 			continue
 		}
-		// Only routed placement trials count against the budget; the
-		// cheap execution-cycle rejections above are nearly free.
+		// Only placed trials count against the budget; the cheap
+		// execution-cycle rejections above are nearly free.
 		*g.budget--
-		g.a.eff.VerifyAttempts++
-		vs := g.a.tr.StartSpan(g.span, "verify").
-			WithInt("node", int64(v)).WithInt("pe", int64(c.pe)).WithInt("t", int64(c.T))
-		routed, ok := g.routeNode(i, v)
-		vs.WithBool("ok", ok).End()
-		if ok {
-			g.a.eff.VerifySuccesses++
-			g.chosen[i] = c
-			if g.assign(i + 1) {
-				return true
+		g.chosen[i] = c
+		if !g.nextPlaceable(i + 1) {
+			g.a.eff.ForwardRejected++
+		} else {
+			g.a.eff.VerifyAttempts++
+			vs := g.a.tr.StartSpan(g.span, "verify").
+				WithInt("node", int64(v)).WithInt("pe", int64(c.pe)).WithInt("t", int64(c.T))
+			routed, ok := g.routeNode(i, v)
+			vs.WithBool("ok", ok).End()
+			if ok {
+				g.a.eff.VerifySuccesses++
+				if g.assign(i + 1) {
+					return true
+				}
 			}
-		}
-		for _, eid := range routed {
-			g.a.sess.UnrouteEdge(eid)
+			for _, eid := range routed {
+				g.a.sess.UnrouteEdge(eid)
+			}
 		}
 		g.a.sess.UnplaceNode(v)
 		if *g.budget <= 0 {
 			return false
+		}
+	}
+	return false
+}
+
+// nextPlaceable is the forward check: whether the j-th cluster node (if
+// any) has a candidate admissible against the chosen nodes before it
+// that CanPlace accepts at the current occupancy.
+func (g *generator) nextPlaceable(j int) bool {
+	if j == len(g.u.nodes) {
+		return true
+	}
+	v := g.u.nodes[j]
+	for _, c := range g.cands[v] {
+		if g.admissible(g.cons[j], c) && g.a.sess.CanPlace(v, c.pe, c.T) {
+			return true
 		}
 	}
 	return false
@@ -116,40 +147,42 @@ type cycleCons struct {
 	in      bool
 }
 
-// cycleConstraints lists the constraints of v, the i-th cluster node,
-// against the chosen nodes before it: one per edge whose other endpoint
-// comes earlier in the cluster order, in-edges first (v is not among
-// those nodes, so self recurrences drop out). They depend on the node only, so
-// assign builds them once per node instead of once per candidate. The
-// list is the depth-i scratch buffer: depth i's list must survive while
-// assign(i+1) builds its own.
-func (g *generator) cycleConstraints(i, v int) []cycleCons {
-	for len(g.scr.consBufs) <= i {
+// buildConstraints fills g.cons with every cluster node's constraints
+// against the nodes before it in the cluster order: one per edge whose
+// other endpoint comes earlier, in-edges first (a node is not among the
+// nodes before it, so self recurrences drop out). They depend on the
+// cluster only, so generate builds them once for all depths; the forward
+// check at depth i reads depth i+1's list. Each depth's list lives in
+// its own scratch buffer.
+func (g *generator) buildConstraints() {
+	for len(g.scr.consBufs) < len(g.u.nodes) {
 		g.scr.consBufs = append(g.scr.consBufs, nil)
 	}
-	cons := g.scr.consBufs[i][:0]
-	if !g.a.opt.DisableCyclePruning {
-		for _, eid := range g.a.g.InEdges(v) {
-			e := g.a.g.Edges[eid]
-			if j := g.indexOf(e.From, i); j >= 0 {
-				cons = append(cons, cycleCons{j: j, dist: e.Dist, in: true})
+	for i, v := range g.u.nodes {
+		cons := g.scr.consBufs[i][:0]
+		if !g.a.opt.DisableCyclePruning {
+			for _, eid := range g.a.g.InEdges(v) {
+				e := g.a.g.Edges[eid]
+				if j := g.indexOf(e.From, i); j >= 0 {
+					cons = append(cons, cycleCons{j: j, dist: e.Dist, in: true})
+				}
+			}
+			for _, eid := range g.a.g.OutEdges(v) {
+				e := g.a.g.Edges[eid]
+				if j := g.indexOf(e.To, i); j >= 0 {
+					cons = append(cons, cycleCons{j: j, dist: e.Dist})
+				}
 			}
 		}
-		for _, eid := range g.a.g.OutEdges(v) {
-			e := g.a.g.Edges[eid]
-			if j := g.indexOf(e.To, i); j >= 0 {
-				cons = append(cons, cycleCons{j: j, dist: e.Dist})
-			}
-		}
+		g.scr.consBufs[i] = cons
 	}
-	g.scr.consBufs[i] = cons
-	return cons
+	g.cons = g.scr.consBufs[:len(g.u.nodes)]
 }
 
 // admissible applies the cheap execution-cycle pruning of Algorithm 2
 // (lines 6-8) before any resources are touched: latency feasibility
 // against every already-chosen cluster node that v depends on. The
-// constraints come from cycleConstraints, built per recursion depth
+// constraints come from buildConstraints, one list per cluster node
 // (empty under DisableCyclePruning, the ablation that lets placement and
 // routing reject instead). FU-slot exclusivity needs no test here: the
 // chosen nodes are placed in the session, so CanPlace rejects a

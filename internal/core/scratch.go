@@ -66,10 +66,12 @@ type amendScratch struct {
 	tiedBuf  []int
 
 	// placement enumeration: the generator itself, the chosen-candidate
-	// vector, one routed-edge buffer and one cycle-constraint list per
-	// recursion depth (a depth's lists stay live while deeper levels
-	// enumerate, so one shared buffer would corrupt the backtracking
-	// unwind), and the probe path under test (routeProbe).
+	// vector, one routed-edge buffer per recursion depth (a depth's list
+	// stays live while deeper levels enumerate, so one shared buffer
+	// would corrupt the backtracking unwind), one cycle-constraint list
+	// per cluster node (all built up front, as the forward check at
+	// depth i reads depth i+1's), and the probe path under test
+	// (routeProbe).
 	gen        generator
 	chosenBuf  []pcand
 	routedBufs [][]int

@@ -80,7 +80,7 @@ func fakeResults() *Results {
 				Duration: time.Duration(1+mi) * 10 * time.Millisecond,
 				Effort: stats.Effort{
 					RemapIterations: 100 * mi,
-					VerifyAttempts:  20, VerifySuccesses: 19,
+					VerifyAttempts:  20, VerifySuccesses: 19, ForwardRejected: 5,
 				},
 			}
 			if m == "SA" && i%5 == 0 {
@@ -153,7 +153,7 @@ func TestSummaryRewireOnly(t *testing.T) {
 		"combos: 47\n" +
 		"Rewire optimal: 47, optimal-or-near-optimal: 47 (paper: 38/47)\n" +
 		"Rewire   failed combos: 0\n" +
-		"Rewire Placement(U) verification success: 95.0% (paper: ~95%)\n\n"
+		"Rewire Placement(U) verification success: 95.0% of 940 routed trials (paper: ~95%); 235 more forward-rejected before routing\n\n"
 	if got := buf.String(); got != want {
 		t.Fatalf("Rewire-only summary:\n%s\nwant:\n%s", got, want)
 	}
@@ -197,7 +197,7 @@ func TestSummaryAllMappers(t *testing.T) {
 		"SA       failed combos: 10\n" +
 		"Rewire vs PF*   performance speedup: 1.50x   compile-time reduction: 2.00x\n" +
 		"Rewire vs SA    performance speedup: 2.00x   compile-time reduction: 3.00x\n" +
-		"Rewire Placement(U) verification success: 95.0% (paper: ~95%)\n\n"
+		"Rewire Placement(U) verification success: 95.0% of 940 routed trials (paper: ~95%); 235 more forward-rejected before routing\n\n"
 	if got := buf.String(); got != want {
 		t.Fatalf("three-mapper summary:\n%s\nwant:\n%s", got, want)
 	}

@@ -28,7 +28,7 @@ func lower(t *testing.T, src string) *dfg.Graph {
 }
 
 func TestLexBasics(t *testing.T) {
-	toks, err := lex("t = a[i] + 2 # comment\n")
+	toks, err := lexInto(nil, "t = a[i] + 2 # comment\n")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestLexBasics(t *testing.T) {
 }
 
 func TestLexShiftOperators(t *testing.T) {
-	toks, err := lex("t = x << 2\nu = x >> 1\n")
+	toks, err := lexInto(nil, "t = x << 2\nu = x >> 1\n")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,10 +64,10 @@ func TestLexShiftOperators(t *testing.T) {
 }
 
 func TestLexRejectsBadChar(t *testing.T) {
-	if _, err := lex("t = a ? b\n"); err == nil {
+	if _, err := lexInto(nil, "t = a ? b\n"); err == nil {
 		t.Fatal("expected error on '?'")
 	}
-	if _, err := lex("t = a < b\n"); err == nil {
+	if _, err := lexInto(nil, "t = a < b\n"); err == nil {
 		t.Fatal("expected error on single '<'")
 	}
 }

@@ -64,14 +64,12 @@ type token struct {
 	line int
 }
 
-// lex splits source text into tokens. Comments run from '#' to end of
-// line. Newlines are significant (statement separators) and consecutive
-// blank lines collapse into one tokNewline.
-func lex(src string) ([]token, error) { return lexInto(nil, src) }
-
-// lexInto is lex appending into a caller-provided buffer, so Parse can
-// recycle the token slice across calls (tokens are never retained past
-// the parse: AST strings are substrings of src, not of the tokens).
+// lexInto splits source text into tokens, appending them to toks.
+// Comments run from '#' to end of line. Newlines are significant
+// (statement separators) and consecutive blank lines collapse into one
+// tokNewline. Parse passes a recycled buffer, so the token slice is
+// reused across calls (tokens are never retained past the parse: AST
+// strings are substrings of src, not of the tokens).
 func lexInto(toks []token, src string) ([]token, error) {
 	line := 1
 	emit := func(k tokKind, text string) {

@@ -238,6 +238,7 @@ var pipelineCounters = []string{
 	"route.findpath.found",
 	"placements.tried",
 	"placements.pruned",
+	"placements.forward_rejected",
 	"verify.attempts",
 	"verify.successes",
 	"cluster.amendments",

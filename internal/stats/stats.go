@@ -44,11 +44,10 @@ type Result struct {
 
 // Effort is one II attempt's work tally. Each mapper owns one per
 // attempt and adds to it with plain increments (an attempt is
-// single-goroutine; Rewire's probe workers keep their own counts and
-// are summed after the pool joins), and each router adds its Expansions
-// once, when it retires. Fill copies an ended attempt's tally into the
-// tracer's work counters, and Add folds the explored attempts' tallies
-// into the run's Result, so each unit of work is counted in one place.
+// single-goroutine), and each router adds its Expansions once, when it
+// retires. Fill copies an ended attempt's tally into the tracer's work
+// counters, and Add folds the explored attempts' tallies into the run's
+// Result, so each unit of work is counted in one place.
 //
 // The first six fields are the Result's effort columns (and eval's
 // -json keys); the rest have no column and reach only the tracer.
@@ -70,7 +69,9 @@ type Effort struct {
 	// enumerated, and candidate evaluations for PF*/SA.
 	PlacementsTried int64
 	// VerifyAttempts / VerifySuccesses measure Rewire's Placement(U)
-	// routing-verification success rate (the paper reports ~95%).
+	// routing-verification success rate (the paper reports ~95%) over
+	// the routed trials; forward-rejected trials (ForwardRejected) are
+	// not routed and not counted here.
 	VerifyAttempts  int64
 	VerifySuccesses int64
 	// RouterExpansions counts priority-queue pops in the router: a
@@ -80,6 +81,11 @@ type Effort struct {
 	// PlacementsPruned counts Rewire's enumerated placements rejected
 	// before routing (execution-cycle pruning or an occupied slot).
 	PlacementsPruned int64 `json:"-"`
+	// ForwardRejected counts Rewire's placed trials unplaced before
+	// routing because the next cluster node had no admissible, placeable
+	// candidate left (the one-step forward check). Each is charged to the
+	// MaxCombos budget like a routed trial.
+	ForwardRejected int64 `json:"-"`
 	// PropagateTuples / TuplesDeduped count the propagation tuples
 	// Rewire's probe floods kept and the ones the per-(PE, cycles) rule
 	// suppressed.
@@ -99,6 +105,7 @@ func (e *Effort) Add(o Effort) {
 	e.VerifySuccesses += o.VerifySuccesses
 	e.RouterExpansions += o.RouterExpansions
 	e.PlacementsPruned += o.PlacementsPruned
+	e.ForwardRejected += o.ForwardRejected
 	e.PropagateTuples += o.PropagateTuples
 	e.TuplesDeduped += o.TuplesDeduped
 	e.PCandidates += o.PCandidates
@@ -109,7 +116,7 @@ func (e *Effort) Add(o Effort) {
 // route.expansions. remaps names the counter RemapIterations fills
 // ("pf.remaps" for PF* and for the PF* initial mappings Rewire amends,
 // "sa.moves" for SA, "" for none), and amendment adds the amendment
-// engine's seven counters. Each backend thus emits a fixed counter set,
+// engine's eight counters. Each backend thus emits a fixed counter set,
 // zero values included (docs/OBSERVABILITY.md).
 func (e *Effort) Fill(tr *trace.Tracer, remaps string, amendment bool) {
 	if !tr.Enabled() {
@@ -127,6 +134,7 @@ func (e *Effort) Fill(tr *trace.Tracer, remaps string, amendment bool) {
 	tr.Counter("verify.attempts").Add(e.VerifyAttempts)
 	tr.Counter("verify.successes").Add(e.VerifySuccesses)
 	tr.Counter("placements.pruned").Add(e.PlacementsPruned)
+	tr.Counter("placements.forward_rejected").Add(e.ForwardRejected)
 	tr.Counter("propagate.tuples").Add(e.PropagateTuples)
 	tr.Counter("propagate.tuples_deduped").Add(e.TuplesDeduped)
 	tr.Counter("intersect.pcandidates").Add(e.PCandidates)

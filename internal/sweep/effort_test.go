@@ -28,6 +28,7 @@ var effortCounters = map[string][]string{
 	"VerifySuccesses":   {"verify.successes"},
 	"RouterExpansions":  {"route.expansions"},
 	"PlacementsPruned":  {"placements.pruned"},
+	"ForwardRejected":   {"placements.forward_rejected"},
 	"PropagateTuples":   {"propagate.tuples"},
 	"TuplesDeduped":     {"propagate.tuples_deduped"},
 	"PCandidates":       {"intersect.pcandidates"},
