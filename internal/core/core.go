@@ -52,7 +52,8 @@ type Options struct {
 	RoundsAnchored   int
 	RoundsUnanchored int
 	// MaxCombos bounds Placement(U) combinations per generation attempt
-	// (default 600, counting routed placement trials).
+	// (default 600, counting placed trials, whether routed or rejected
+	// by the forward check).
 	MaxCombos int
 	// MaxCandidatesPerNode truncates each node's candidate list (default
 	// 64, sorted by execution cycle).
